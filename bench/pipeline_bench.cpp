@@ -1,10 +1,10 @@
 // Hot-path pipeline benchmarks -> BENCH_pipeline.json.
 //
-// Measures the kernels the SoA/SIMD/ring overhaul targets, each against its
+// Measures the kernels the SoA/SIMD overhaul targets, each against its
 // pre-overhaul shape where a faithful one still exists in-tree (the scalar
-// reference CRC, an AoS min-standard scan, a scalar normalization loop, the
-// synchronous mutex transport), so the emitted file carries the before/after
-// deltas as first-class ratio metrics. CI runs this binary and
+// reference CRC, an AoS min-standard scan, a scalar normalization loop), so
+// the emitted file carries the before/after deltas as first-class ratio
+// metrics. CI runs this binary and
 // tools/bench_compare.py gates the trajectory against bench/baseline/.
 //
 // Everything here is single-threaded on purpose: CI runners (and this
@@ -185,24 +185,6 @@ void bench_transport(BenchReporter& out) {
                     const std::span<const SliceRecord> batch(
                         records.data() + b * kPerBatch, kPerBatch);
                     transport.ship(0, batch, batch.back().t_end);
-                  }
-                  transport.drain();
-                });
-                keep(collector.ingested_records());
-                return rate_base / s;
-              });
-  out.measure("transport.ring", "records/s", Direction::kHigherIsBetter, 5,
-              [&] {
-                Collector collector;
-                TransportConfig cfg;
-                cfg.channel_ring_capacity = 1024;
-                BatchTransport transport(&collector, 1, cfg);
-                const double s = time_seconds([&] {
-                  for (size_t b = 0; b < kBatches; ++b) {
-                    const std::span<const SliceRecord> batch(
-                        records.data() + b * kPerBatch, kPerBatch);
-                    transport.ship(0, batch, batch.back().t_end);
-                    if ((b & 511) == 511) transport.pump();
                   }
                   transport.drain();
                 });

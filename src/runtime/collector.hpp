@@ -55,6 +55,18 @@ class BatchSink {
   virtual void on_live_rank(int rank) { (void)rank; }
 };
 
+/// Server-side consumer of unique transport deliveries, with the transport
+/// metadata (origin rank, send-side sequence number, virtual arrival time)
+/// intact. BatchTransport delivers into one of these: the Collector just
+/// ingests the batch, the crash-tolerant AnalysisServer journals every
+/// batch as (rank, seq, records) before folding it.
+class DeliverySink {
+ public:
+  virtual ~DeliverySink() = default;
+  virtual void on_delivery(int rank, uint64_t seq,
+                           std::span<const SliceRecord> batch, double now) = 0;
+};
+
 struct CollectorConfig {
   /// Number of independent storage shards (sensor_id % shards).
   size_t shards = 16;
@@ -63,7 +75,7 @@ struct CollectorConfig {
   size_t shard_capacity = 1u << 20;
 };
 
-class Collector : public obs::HealthSource {
+class Collector : public DeliverySink, public obs::HealthSource {
  public:
   Collector() : Collector(CollectorConfig{}) {}
   explicit Collector(CollectorConfig cfg);
@@ -81,6 +93,13 @@ class Collector : public obs::HealthSource {
   /// 56-byte records, and the batch reaches an SoA-native sink without an
   /// intermediate gather. Accounting identical to the AoS overload.
   void ingest(const RecordBatch& batch);
+
+  /// Transport delivery: the metadata is dropped and the batch ingested.
+  void on_delivery(int /*rank*/, uint64_t /*seq*/,
+                   std::span<const SliceRecord> batch,
+                   double /*now*/) override {
+    ingest(batch);
+  }
 
   /// Attach a streaming sink; every subsequent batch is forwarded to it
   /// after being stored. Pass nullptr to detach. Not thread-safe against

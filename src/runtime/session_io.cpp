@@ -13,13 +13,9 @@ namespace vsensor::rt {
 namespace {
 constexpr const char* kMagic = "vsensor-session";
 constexpr int kVersion = 3;
-// Version 1 lacked the transport/stale lines; version 2 lacked the
-// per-line CRC suffix. Both still load (with strict error behavior —
-// salvage needs the CRCs to tell damage from data).
-constexpr int kOldestSupported = 1;
 
 // ` #xxxxxxxx`: CRC32 of the line content, appended to every line after
-// the magic line in v3 files.
+// the magic line.
 constexpr size_t kCrcSuffixLen = 10;
 
 /// Write one line with its integrity suffix.
@@ -29,7 +25,7 @@ void emit(std::ostream& out, const std::string& line) {
   out << line << suffix << '\n';
 }
 
-/// Strip and verify the v3 integrity suffix in place. Returns false when
+/// Strip and verify the integrity suffix in place. Returns false when
 /// the suffix is missing, malformed, or the CRC does not match.
 bool strip_crc(std::string& line) {
   if (line.size() < kCrcSuffixLen) return false;
@@ -116,7 +112,7 @@ void accumulate_totals(RankChannelStats& sum, const RankChannelStats& s) {
 }
 
 /// Parse the metadata line ("ranks <N> run_time <t>"). Returns false
-/// (with *err set) instead of throwing, so the v3 path can salvage.
+/// (with *err set) instead of throwing, so the load can salvage.
 bool parse_meta(const std::string& line, Session* session, std::string* err) {
   std::istringstream meta(line);
   std::string k1;
@@ -249,16 +245,14 @@ Session load_session(std::istream& in) {
     std::string magic;
     header >> magic >> version;
     if (magic != kMagic) throw Error("not a vsensor session file");
-    if (version < kOldestSupported || version > kVersion) {
+    if (version != kVersion) {
       throw Error("unsupported session version: " + std::to_string(version));
     }
   }
-  const bool checked = version >= 3;
 
-  // Salvage discipline (v3): the first damaged or malformed line ends the
+  // Salvage discipline: the first damaged or malformed line ends the
   // load — everything before it is intact (CRC-verified), everything from
   // it on is dropped and counted, and the reason lands in warnings.
-  // Legacy files (v1/v2) keep their original strict throw behavior.
   size_t line_no = 1;  // the magic line
   bool body_ok = true;
   auto fail = [&](std::istream& rest, const std::string& why) {
@@ -271,18 +265,14 @@ Session load_session(std::istream& in) {
   };
 
   if (!std::getline(in, line)) {
-    if (checked) {
-      session.warnings.push_back("session file truncated before metadata");
-      return session;
-    }
-    throw Error("session file truncated");
+    session.warnings.push_back("session file truncated before metadata");
+    return session;
   }
   ++line_no;
   std::string err;
-  if (checked && !strip_crc(line)) {
+  if (!strip_crc(line)) {
     fail(in, "metadata line torn or CRC mismatch");
   } else if (!parse_meta(line, &session, &err)) {
-    if (!checked) throw Error(err);
     session.ranks = 0;  // drop the partial parse
     session.run_time = 0.0;
     fail(in, err);
@@ -291,12 +281,11 @@ Session load_session(std::istream& in) {
   while (body_ok && std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    if (checked && !strip_crc(line)) {
+    if (!strip_crc(line)) {
       fail(in, "line torn or CRC mismatch");
       break;
     }
     if (!parse_line(line, &session, &err)) {
-      if (!checked) throw Error(err);
       fail(in, err);
       break;
     }

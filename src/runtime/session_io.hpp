@@ -21,16 +21,16 @@ struct Session {
   double run_time = 0.0;
   std::vector<SensorInfo> sensors;
   std::vector<SliceRecord> records;
-  /// Per-rank transport channel counters (v2 sessions; empty for v1 or
-  /// runs that bypassed the transport). When present, has `ranks` entries.
+  /// Per-rank transport channel counters (empty for runs that bypassed
+  /// the transport). When present, has `ranks` entries.
   std::vector<RankChannelStats> transport;
   /// Field-wise sum over `transport` (recomputed on load).
   RankChannelStats transport_totals;
-  /// Ranks the transport declared stale at end of run (v2 sessions).
+  /// Ranks the transport declared stale at end of run.
   std::vector<int> stale_ranks;
-  /// Structured integrity warnings (v3 sessions): when a damaged file was
-  /// salvaged, each entry describes one reason loading stopped early —
-  /// the data above is the valid prefix. Empty = clean load.
+  /// Structured integrity warnings: when a damaged file was salvaged, each
+  /// entry describes one reason loading stopped early — the data above is
+  /// the valid prefix. Empty = clean load.
   std::vector<std::string> warnings;
   /// Lines dropped by salvage (the damaged line and everything after it).
   uint64_t salvaged_lines = 0;
@@ -49,13 +49,12 @@ struct Session {
 ///             <retries> <dups> <delayed> <wire_bytes> <backoff_s>
 ///             <last_delivery_t> <next_seq>
 ///   stale <rank>
-/// Version 3 appends an integrity suffix ` #xxxxxxxx` (CRC32 of the line
-/// content, 8 hex digits) to every line after the magic line. Loading a
-/// v3 file salvages the valid prefix of a truncated or corrupted file:
-/// the first torn, CRC-damaged, or malformed line stops the load with a
-/// structured warning in Session::warnings instead of an exception.
-/// Version 1 (no transport/stale lines) and version 2 (no CRC suffix)
-/// files still load, with their original strict error behavior.
+/// Every line after the magic line carries an integrity suffix
+/// ` #xxxxxxxx` (CRC32 of the line content, 8 hex digits). Loading
+/// salvages the valid prefix of a truncated or corrupted file: the first
+/// torn, CRC-damaged, or malformed line stops the load with a structured
+/// warning in Session::warnings instead of an exception. Only version 3
+/// loads; any other version throws.
 void save_session(std::ostream& out, const Session& session);
 void save_session_file(const std::string& path, const Collector& collector,
                        int ranks, double run_time);
@@ -70,7 +69,8 @@ void save_session_file(const std::string& path, const Collector& collector,
                        std::span<const int> stale_ranks,
                        io::Vfs* vfs = nullptr);
 
-/// Throws vsensor::Error on malformed input.
+/// Throws vsensor::Error on an empty file, a wrong magic line or an
+/// unsupported version; damage after the header is salvaged (see above).
 Session load_session(std::istream& in);
 Session load_session_file(const std::string& path);
 

@@ -26,31 +26,17 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <vector>
 
-#include "obs/events.hpp"
 #include "obs/health.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/record_batch.hpp"
 #include "runtime/types.hpp"
-#include "support/spsc_ring.hpp"
 
 namespace vsensor::rt {
-
-/// Server-side consumer of unique deliveries, with the transport metadata
-/// (origin rank, send-side sequence number, virtual arrival time) the plain
-/// Collector interface erases. The crash-tolerant AnalysisServer implements
-/// this to journal every batch as (rank, seq, records) before folding it.
-class DeliverySink {
- public:
-  virtual ~DeliverySink() = default;
-  virtual void on_delivery(int rank, uint64_t seq,
-                           std::span<const SliceRecord> batch, double now) = 0;
-};
 
 /// Elastic-rank generations ride in the high bits of the wire sequence
 /// number: a rank that leaves and rejoins under the same id starts a new
@@ -123,16 +109,6 @@ struct TransportConfig {
   double retry_backoff = 1e-4;
   /// A rank with no delivery for this many virtual seconds is stale.
   double stale_after = 1.0;
-  /// Batches each rank channel can hold in its lock-free SPSC ring before
-  /// the producer sees backpressure (rounded up to a power of two).
-  /// 0 = synchronous shipping: ship() walks the retry loop inline, exactly
-  /// the pre-ring behavior. > 0 = ship() is a wait-free enqueue on the
-  /// rank's ring (the rank thread never takes the transport mutex); the
-  /// consumer side (pump()/drain()) stamps sequence numbers and delivers.
-  /// A full ring refuses the batch — counted per rank in
-  /// RankChannelStats::ring_dropped_* so drop accounting stays conserved:
-  /// after drain(), sent == delivered + lost + ring_dropped.
-  size_t channel_ring_capacity = 0;
 };
 
 /// Per-rank transport counters. All monotonically increasing.
@@ -149,26 +125,17 @@ struct RankChannelStats {
   double backoff_seconds = 0.0;         ///< total virtual backoff spent
   double last_delivery_time = -1.0;     ///< virtual time of newest delivery
   uint64_t next_seq = 0;                ///< next sequence number to stamp
-  /// Ring mode only: batches/records refused at the SPSC enqueue edge
-  /// because the rank's ring was full (already included in batches_lost /
-  /// records_lost, broken out so the backpressure edge stays observable).
-  uint64_t ring_dropped_batches = 0;
-  uint64_t ring_dropped_records = 0;
 };
 
 class BatchTransport : public obs::HealthSource {
  public:
-  /// `collector` receives every unique delivery; `faults` (optional, not
-  /// owned) injects failures. With no fault model the transport is a
-  /// transparent sequenced pass-through: same batches, same order, same
-  /// collector counters as calling Collector::ingest directly.
-  BatchTransport(Collector* collector, int ranks, TransportConfig cfg = {},
-                 const TransportFaultModel* faults = nullptr);
-
-  /// Same, but unique deliveries go to `sink` with their transport
-  /// metadata (rank, seq, arrival time) intact — the crash-tolerant
-  /// analysis server journals each delivery before folding it. Exactly one
-  /// of the two destinations is used per transport.
+  /// `sink` receives every unique delivery with its transport metadata
+  /// (rank, seq, arrival time) intact — a Collector just ingests it, the
+  /// crash-tolerant analysis server journals it before folding it.
+  /// `faults` (optional, not owned) injects failures. With no fault model
+  /// the transport is a transparent sequenced pass-through: same batches,
+  /// same order, same collector counters as calling Collector::ingest
+  /// directly.
   BatchTransport(DeliverySink* sink, int ranks, TransportConfig cfg = {},
                  const TransportFaultModel* faults = nullptr);
 
@@ -176,36 +143,21 @@ class BatchTransport : public obs::HealthSource {
   /// in-flight batches are never silently lost.
   ~BatchTransport();
 
-  /// Ship one batch from `rank` at virtual time `now`. Synchronous mode
-  /// (channel_ring_capacity == 0): stamps the next sequence number, walks
-  /// the retry loop inline, and returns true if the batch was delivered
-  /// (possibly deferred behind later deliveries when the fault model
-  /// delays it). Ring mode: wait-free enqueue on `rank`'s SPSC ring;
-  /// returns false only if the ring was full (the batch is then counted
-  /// as lost + ring-dropped). Thread-safe across ranks; each rank's
-  /// ship() calls must come from one thread (the rank thread) — that is
-  /// the single-producer half of the SPSC contract.
+  /// Ship one batch from `rank` at virtual time `now`: stamps the next
+  /// sequence number, walks the retry loop inline, and returns true if the
+  /// batch was delivered (possibly deferred behind later deliveries when
+  /// the fault model delays it). Thread-safe across ranks.
   bool ship(int rank, std::span<const SliceRecord> batch, double now);
 
   /// Same, from staged struct-of-arrays columns. The gather to the AoS
   /// wire form happens here, once, at the transport boundary.
   bool ship(int rank, const RecordBatch& batch, double now);
 
-  /// Ring mode: consume every batch currently enqueued on the rank rings,
-  /// stamping sequence numbers and walking the normal delivery path (in
-  /// rank order, FIFO within a rank). Returns batches pumped. Safe to call
-  /// concurrently with producers; consumers serialize on an internal
-  /// mutex. No-op in synchronous mode. Must not be called from inside a
-  /// delivery callback.
-  size_t pump();
-
   /// Deliver every batch still held in the delay queue (end of run; the
-  /// wire is always drained before analysis). In ring mode the rank rings
-  /// are pumped first, so nothing enqueued before drain() is lost.
-  /// Idempotent and re-entrancy safe: a second call — including the
-  /// destructor's — delivers only what arrived since the first, and a
-  /// drain triggered from within a drain (e.g. a sink that ships) is a
-  /// no-op instead of a deadlock.
+  /// wire is always drained before analysis). Idempotent and re-entrancy
+  /// safe: a second call — including the destructor's — delivers only what
+  /// arrived since the first, and a drain triggered from within a drain
+  /// (e.g. a sink that ships) is a no-op instead of a deadlock.
   void drain();
 
   /// Ranks considered stale at `now`: transport killed by the fault model,
@@ -229,7 +181,7 @@ class BatchTransport : public obs::HealthSource {
   /// Grow the channel table by one rank at virtual time `now` (elastic
   /// jobs: a rank joining mid-run). The new channel ages toward staleness
   /// from `now`, not from job start. Returns the new rank id. Not safe
-  /// against concurrent ship()/pump() — call from the coordinator between
+  /// against concurrent ship() — call from the coordinator between
   /// communication phases.
   int add_rank(double now);
 
@@ -239,7 +191,7 @@ class BatchTransport : public obs::HealthSource {
   /// the sticky reported-stale verdict is cleared (the caller routes the
   /// matching mark_live revival into the detection layer). Returns whether
   /// the rank had been reported stale (i.e. whether a revival is needed).
-  /// Safe against concurrent ship()/pump() from *other* ranks; the
+  /// Safe against concurrent ship() from *other* ranks; the
   /// rejoining rank itself must not be shipping concurrently.
   bool rejoin_rank(int rank, double now);
 
@@ -247,22 +199,18 @@ class BatchTransport : public obs::HealthSource {
   /// Field-wise sum over all ranks (last_delivery_time = max, next_seq = sum).
   RankChannelStats totals() const;
 
-  Collector* collector() const { return collector_; }
   int ranks() const { return static_cast<int>(channels_.size()); }
   const TransportConfig& config() const { return cfg_; }
 
-  /// Health plane (opt-in, non-owning). Hooks emit RingOverflow events
-  /// from the producer edge; the sampler is poked with the virtual arrival
-  /// time of every unique delivery (the transport's natural clock ticks).
-  /// Both must be wired before ranks start shipping and cleared only after
-  /// they quiesce — the producer path reads them unsynchronized.
-  void set_event_hooks(obs::EventHooks hooks) { hooks_ = hooks; }
+  /// Health plane (opt-in, non-owning). The sampler is poked with the
+  /// virtual arrival time of every unique delivery (the transport's natural
+  /// clock ticks). Wire it before ranks start shipping and clear it only
+  /// after they quiesce — the delivery path reads it unsynchronized.
   void set_health_sampler(obs::HealthSampler* sampler) { sampler_ = sampler; }
 
   /// Aggregate channel health: delivery/loss totals, per-rank channel lag
   /// (now − last delivery) extremes, watermark skew (spread of contiguous
-  /// sequence watermarks across ranks), delay-queue depth, and — in ring
-  /// mode — SPSC occupancy, high-water, and overflow drops.
+  /// sequence watermarks across ranks), and delay-queue depth.
   void sample_health(double now, obs::HealthRecorder& rec) const override;
 
  private:
@@ -288,50 +236,21 @@ class BatchTransport : public obs::HealthSource {
     double first_seen = 0.0;
   };
 
-  /// One batch parked on a rank's SPSC ring between the rank thread's
-  /// ship() and the consumer's pump(). Sequence numbers are stamped at
-  /// pump time (under mu_), not enqueue time, so the seq space stays
-  /// dense even when enqueues race with ring-full drops.
-  struct PendingShip {
-    double now = 0.0;
-    std::vector<SliceRecord> records;
-  };
-
-  /// Ring-mode per-rank state, split from Channel because the producer
-  /// side must never touch mu_: overflow counters are atomics the rank
-  /// thread bumps lock-free and rank_stats() folds into the snapshot.
-  struct RingChannel {
-    SpscRing<PendingShip> ring;
-    std::atomic<uint64_t> dropped_batches{0};
-    std::atomic<uint64_t> dropped_records{0};
-    /// Deepest occupancy the producer ever observed after an enqueue —
-    /// the health plane's saturation signal for this rank's ring.
-    std::atomic<uint64_t> high_water{0};
-    explicit RingChannel(size_t capacity) : ring(capacity) {}
-  };
-
   /// One delivery arriving at the server: dedup, then store. Appends any
   /// releases from the delay queue to `ready`. Caller holds mu_.
   void arrive(int rank, uint64_t seq, std::span<const SliceRecord> batch,
               double now, std::vector<DelayedBatch>& ready);
+  /// Arrival accounting for one batch reaching the server (wire bytes,
+  /// dedup, delivered/duplicate counters); a unique batch moves to
+  /// `ready`. Shared by arrive() and drain(). Caller holds mu_.
+  void accept_locked(DelayedBatch&& ev, std::vector<DelayedBatch>& ready);
   bool stale_locked(const Channel& ch, int rank, double now) const;
 
-  /// Hand one deduplicated batch to whichever destination this transport
-  /// was built with. Caller must NOT hold mu_.
+  /// Hand one deduplicated batch to the sink. Caller must NOT hold mu_.
   void deliver(int rank, uint64_t seq, std::span<const SliceRecord> batch,
                double now);
 
-  /// The synchronous delivery path (stamp seq, retry loop, arrive).
-  /// Called directly by ship() in synchronous mode, by pump() in ring mode.
-  bool ship_sync(int rank, std::span<const SliceRecord> batch, double now);
-  /// Ring mode: wait-free enqueue of an owned batch onto `rank`'s ring.
-  bool ship_enqueue(int rank, std::vector<SliceRecord>&& records, double now);
-  /// Merge `rank`'s ring overflow counters into a stats snapshot: ring
-  /// drops count as sent + lost so conservation holds. Caller holds mu_.
-  void fold_ring_locked(size_t rank, RankChannelStats& s) const;
-
-  Collector* collector_;
-  DeliverySink* sink_ = nullptr;
+  DeliverySink* sink_;
   TransportConfig cfg_;
   const TransportFaultModel* faults_;
 
@@ -339,14 +258,8 @@ class BatchTransport : public obs::HealthSource {
   std::vector<Channel> channels_;
   std::vector<DelayedBatch> delayed_;
   std::atomic<bool> draining_{false};
-  /// Ring mode only (channel_ring_capacity > 0): one SPSC ring per rank,
-  /// heap-allocated so the atomics stay address-stable, plus the consumer
-  /// serialization for pump().
-  std::vector<std::unique_ptr<RingChannel>> rings_;
-  std::mutex pump_mu_;
 
   /// Health plane (non-owning; null = unwired, one branch per site).
-  obs::EventHooks hooks_;
   obs::HealthSampler* sampler_ = nullptr;
 };
 

@@ -113,13 +113,12 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
   if (collector != nullptr) {
     VS_CHECK_MSG(options.server == nullptr || options.analysis_tier == nullptr,
                  "attach either an analysis server or a sharded tier, not both");
+    rt::DeliverySink* sink = collector;
     if (options.analysis_tier != nullptr) {
       // Sharded fan-in: deliveries route by rank to one of N crash-
       // tolerant shards; each shard journals, dedups, and folds its rank
       // partition, and lowered standards broadcast between shards.
-      transport = std::make_unique<rt::BatchTransport>(
-          static_cast<rt::DeliverySink*>(options.analysis_tier),
-          sim_config.ranks, options.transport, faults.get());
+      sink = options.analysis_tier;
       if (faults != nullptr) {
         options.analysis_tier->set_crash_plan(faults->server_crash_schedule(),
                                               faults->schedule_seed());
@@ -128,21 +127,17 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
       // Crash-tolerant path: deliveries carry their transport metadata to
       // the server, which journals and dedups them before the collector
       // sees anything. Crashes fire per the fault model's schedule.
-      transport = std::make_unique<rt::BatchTransport>(
-          static_cast<rt::DeliverySink*>(options.server), sim_config.ranks,
-          options.transport, faults.get());
+      sink = options.server;
       if (faults != nullptr) {
         options.server->set_crash_plan(faults->server_crash_schedule(),
                                        faults->schedule_seed());
       }
-    } else {
-      transport = std::make_unique<rt::BatchTransport>(
-          collector, sim_config.ranks, options.transport, faults.get());
     }
+    transport = std::make_unique<rt::BatchTransport>(
+        sink, sim_config.ranks, options.transport, faults.get());
     // Health plane wiring (all non-owning): the caller's sampler and event
     // log see this run's transport and analysis stack until the run ends.
     if (options.events != nullptr) {
-      transport->set_event_hooks(obs::EventHooks{options.events, nullptr, -1});
       if (options.analysis_tier != nullptr) {
         options.analysis_tier->set_event_log(options.events);
       } else if (options.server != nullptr) {
