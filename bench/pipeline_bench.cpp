@@ -1,10 +1,9 @@
 // Hot-path pipeline benchmarks -> BENCH_pipeline.json.
 //
-// Measures the kernels the SoA/SIMD overhaul targets, each against its
+// Measures the pipeline's per-core hot paths, each against its
 // pre-overhaul shape where a faithful one still exists in-tree (the scalar
-// reference CRC, an AoS min-standard scan, a scalar normalization loop), so
-// the emitted file carries the before/after deltas as first-class ratio
-// metrics. CI runs this binary and
+// reference CRC), so the emitted file carries the before/after deltas as
+// first-class ratio metrics. CI runs this binary and
 // tools/bench_compare.py gates the trajectory against bench/baseline/.
 //
 // Everything here is single-threaded on purpose: CI runners (and this
@@ -30,7 +29,6 @@
 #include "runtime/transport.hpp"
 #include "runtime/types.hpp"
 #include "support/crc32.hpp"
-#include "support/simd.hpp"
 
 namespace {
 
@@ -87,69 +85,6 @@ void bench_crc(BenchReporter& out) {
     return mb / s;
   });
   out.add_ratio("crc32.speedup", "crc32.frame", "crc32.reference");
-}
-
-void bench_min_standard_scan(BenchReporter& out) {
-  constexpr size_t kRecords = 1u << 20;
-  const auto aos = synth_records(kRecords, 4, 8, 10.0, 11);
-  const RecordBatch soa = RecordBatch::from_aos(aos);
-  const double mrecs = static_cast<double>(kRecords) / 1e6;
-
-  out.measure("scan.min_standard.soa", "Mrec/s", Direction::kHigherIsBetter, 7,
-              [&] {
-                double fastest = 0.0;
-                const double s = time_seconds([&] { fastest = soa.min_standard(); });
-                keep(fastest);
-                return mrecs / s;
-              });
-  // The pre-overhaul shape: stride 56 bytes per record to touch one double.
-  out.measure("scan.min_standard.aos", "Mrec/s", Direction::kHigherIsBetter, 7,
-              [&] {
-                double fastest = 0.0;
-                const double s = time_seconds([&] {
-                  double best = std::numeric_limits<double>::infinity();
-                  for (const auto& rec : aos) {
-                    if (rec.avg_duration >= kMinStandardTime &&
-                        rec.avg_duration < best) {
-                      best = rec.avg_duration;
-                    }
-                  }
-                  fastest = best;
-                });
-                keep(fastest);
-                return mrecs / s;
-              });
-  out.add_ratio("scan.min_standard.speedup", "scan.min_standard.soa",
-                "scan.min_standard.aos");
-}
-
-void bench_normalize(BenchReporter& out) {
-  constexpr size_t kRecords = 1u << 20;
-  const auto aos = synth_records(kRecords, 4, 8, 10.0, 13);
-  const RecordBatch soa = RecordBatch::from_aos(aos);
-  std::vector<double> std_times(kRecords, 1e-3);
-  std::vector<double> normalized(kRecords);
-  const double mrecs = static_cast<double>(kRecords) / 1e6;
-
-  out.measure("normalize.simd", "Mrec/s", Direction::kHigherIsBetter, 7, [&] {
-    const double s = time_seconds([&] {
-      simd::normalize(std_times.data(), soa.avg_duration.data(), kRecords,
-                      kMinStandardTime, normalized.data());
-    });
-    keep(normalized[kRecords / 2]);
-    return mrecs / s;
-  });
-  out.measure("normalize.aos", "Mrec/s", Direction::kHigherIsBetter, 7, [&] {
-    const double s = time_seconds([&] {
-      for (size_t i = 0; i < kRecords; ++i) {
-        const double st = std::max(std_times[i], kMinStandardTime);
-        normalized[i] = st / aos[i].avg_duration;
-      }
-    });
-    keep(normalized[kRecords / 2]);
-    return mrecs / s;
-  });
-  out.add_ratio("normalize.speedup", "normalize.simd", "normalize.aos");
 }
 
 void bench_stage_to_collector(BenchReporter& out) {
@@ -244,12 +179,14 @@ void bench_detector(BenchReporter& out) {
     return s * 1e3;
   });
 
+  // The batch front end end to end: SoA conversion, one fold, finalize,
+  // and the flagged-record pass.
   Detector detector;
   out.measure("detector.analyze", "ms", Direction::kLowerIsBetter, 5, [&] {
     size_t events = 0;
     const double s = time_seconds([&] {
-      events =
-          detector.analyze_batch(batch, sensors, kRanks, kRunTime).events.size();
+      events = detector.analyze_records(records, sensors, kRanks, kRunTime)
+                   .events.size();
     });
     keep(events);
     return s * 1e3;
@@ -322,8 +259,6 @@ int main(int argc, char** argv) {
   BenchReporter out("pipeline");
 
   bench_crc(out);
-  bench_min_standard_scan(out);
-  bench_normalize(out);
   bench_stage_to_collector(out);
   bench_transport(out);
   bench_journal(out);

@@ -50,9 +50,7 @@ enum class Stage : uint8_t {
   Staging,          ///< BatchStage buffering and batch ship
   TransportShip,    ///< BatchTransport ship/retry/backoff/drain
   CollectorIngest,  ///< Collector shard scatter + store
-  DetectStreaming,  ///< StreamingDetector fold + finalize
-  Normalize,        ///< batch detector standards/normalization/grouping
-  DetectBatch,      ///< batch detector (exclusive of Normalize)
+  DetectStreaming,  ///< StreamingDetector fold + finalize, batch front end
   Export,           ///< session/metric/trace serialization
   Durability,       ///< journal append/commit + checkpoint save/load
   kCount,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <sstream>
 
@@ -10,22 +9,19 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "runtime/record_batch.hpp"
+#include "runtime/streaming_detector.hpp"
 #include "support/error.hpp"
-#include "support/simd.hpp"
 
 namespace vsensor::rt {
 
-Detector::Detector(DetectorConfig cfg) : cfg_(cfg) {
-  VS_CHECK_MSG(cfg_.matrix_resolution > 0.0, "matrix resolution must be positive");
-  VS_CHECK_MSG(cfg_.variance_threshold > 0.0 && cfg_.variance_threshold <= 1.0,
+const DetectorConfig& check_config(const DetectorConfig& cfg) {
+  VS_CHECK_MSG(cfg.matrix_resolution > 0.0, "matrix resolution must be positive");
+  VS_CHECK_MSG(cfg.variance_threshold > 0.0 && cfg.variance_threshold <= 1.0,
                "variance threshold must be in (0, 1]");
+  return cfg;
 }
 
-int Detector::group_of(float metric) const {
-  if (cfg_.metric_bucket_width <= 0.0) return 0;
-  return static_cast<int>(
-      std::floor(static_cast<double>(metric) / cfg_.metric_bucket_width));
-}
+Detector::Detector(DetectorConfig cfg) : cfg_(check_config(cfg)) {}
 
 std::vector<double> Detector::normalize_records(
     std::span<const SliceRecord> records) const {
@@ -33,29 +29,10 @@ std::vector<double> Detector::normalize_records(
   // the group's standard time (§5.2-§5.3). Degenerate records never set a
   // standard: a zero-duration slice as the group minimum would zero every
   // score in the group.
-  if (cfg_.metric_bucket_width <= 0.0) {
-    // Single-group fast path (dynamic rules off, the default): gather the
-    // duration column once, then the min-standard scan and the divide are
-    // both SIMD passes over contiguous memory.
-    const size_t n = records.size();
-    std::vector<double> avg(n);
-    for (size_t i = 0; i < n; ++i) avg[i] = records[i].avg_duration;
-    const double fastest = simd::min_above(avg.data(), n, kMinStandardTime);
-    std::vector<double> normalized(n, 0.0);
-    if (fastest != std::numeric_limits<double>::infinity()) {
-      simd::normalize_uniform(fastest, avg.data(), n, kMinStandardTime,
-                              normalized.data());
-      // Degenerate records score 0.0 — broken, not perfect.
-      for (size_t i = 0; i < n; ++i) {
-        if (!(avg[i] >= kMinStandardTime)) normalized[i] = 0.0;
-      }
-    }
-    return normalized;
-  }
   std::map<int, double> standard;
   for (const auto& rec : records) {
     if (is_degenerate(rec)) continue;
-    const int g = group_of(rec.metric);
+    const int g = group_of(cfg_, rec.metric);
     auto [it, inserted] = standard.try_emplace(g, rec.avg_duration);
     if (!inserted) it->second = std::min(it->second, rec.avg_duration);
   }
@@ -67,7 +44,7 @@ std::vector<double> Detector::normalize_records(
       continue;
     }
     const double std_time =
-        std::max(standard.at(group_of(rec.metric)), kMinStandardTime);
+        std::max(standard.at(group_of(cfg_, rec.metric)), kMinStandardTime);
     normalized.push_back(std_time / rec.avg_duration);
   }
   return normalized;
@@ -99,16 +76,7 @@ AnalysisResult Detector::analyze_until(const Collector& collector, int ranks,
 AnalysisResult Detector::analyze_records(std::span<const SliceRecord> records,
                                          const std::vector<SensorInfo>& sensors,
                                          int ranks, double run_time) const {
-  return analyze_batch(RecordBatch::from_aos(records), sensors, ranks,
-                       run_time);
-}
-
-AnalysisResult Detector::analyze_batch(const RecordBatch& records,
-                                       const std::vector<SensorInfo>& sensors,
-                                       int ranks, double run_time) const {
-  VS_CHECK_MSG(ranks > 0, "need at least one rank");
-  VS_CHECK_MSG(run_time > 0.0, "run time must be positive");
-  VS_OBS_SCOPED_STAGE(obs::Stage::DetectBatch);
+  VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
   VS_OBS_ONLY(obs::ScopedSpan vs_obs_span("analyze_records", "detect");
               if (obs::enabled()) {
                 vs_obs_span.set_virtual(0.0, run_time);
@@ -117,107 +85,29 @@ AnalysisResult Detector::analyze_batch(const RecordBatch& records,
                 reg.counter("detect.records_analyzed").add(records.size());
               })
 
-  const int buckets =
-      std::max(1, static_cast<int>(std::ceil(run_time / cfg_.matrix_resolution)));
-  AnalysisResult result{
-      .matrices = {PerformanceMatrix(ranks, buckets, cfg_.matrix_resolution),
-                   PerformanceMatrix(ranks, buckets, cfg_.matrix_resolution),
-                   PerformanceMatrix(ranks, buckets, cfg_.matrix_resolution)},
-      .events = {},
-      .flagged = {},
-      .run_time = run_time,
-      .ranks = ranks,
-      .stale_ranks = {},
-  };
+  // A batch analysis is the streaming engine run once over the whole
+  // record set: the fold computes the final standards and the
+  // standard-free cell sums, finalize() turns them into matrices and events.
+  StreamingDetector engine(cfg_, sensors, ranks, run_time);
+  engine.on_batch(RecordBatch::from_aos(records));
+  AnalysisResult result = engine.finalize();
 
-  const size_t n = records.size();
-  const int32_t* ids = records.sensor_id.data();
-  const int32_t* rk = records.rank.data();
-  const float* metric = records.metric.data();
-  const double* avg = records.avg_duration.data();
-  const double* t_begin = records.t_begin.data();
-  const double* t_end = records.t_end.data();
-  const uint32_t* count = records.count.data();
-  const bool grouped = cfg_.metric_bucket_width > 0.0;
-
-  // Pass 1 — standard time per (sensor, dynamic group): minimum
-  // avg_duration over all ranks — "Each v-sensor compares their records to
-  // the fastest record". Degenerate records are skipped outright: they
-  // would either pose as perfect (normalized 1.0) or, as a group minimum,
-  // zero the whole group. With dynamic rules off (the default) the group
-  // is always 0, so the standards live in a flat per-sensor array and the
-  // scan touches only the contiguous id and duration columns.
-  std::vector<double> flat_standard;
-  std::map<std::pair<int, int>, double> grouped_standard;
-  std::vector<uint32_t> per_sensor_count(sensors.size(), 0);
-  {
-    VS_OBS_SCOPED_STAGE(obs::Stage::Normalize);
-    if (!grouped) {
-      flat_standard.assign(sensors.size(),
-                           std::numeric_limits<double>::infinity());
-      for (size_t i = 0; i < n; ++i) {
-        const double a = avg[i];
-        if (!(a >= kMinStandardTime)) continue;
-        const int id = ids[i];
-        VS_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < sensors.size(),
-                     "record references unknown sensor");
-        if (a < flat_standard[static_cast<size_t>(id)]) {
-          flat_standard[static_cast<size_t>(id)] = a;
-        }
-        per_sensor_count[static_cast<size_t>(id)] += 1;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const double a = avg[i];
-        if (!(a >= kMinStandardTime)) continue;
-        const int id = ids[i];
-        VS_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < sensors.size(),
-                     "record references unknown sensor");
-        const auto key = std::make_pair(id, group_of(metric[i]));
-        auto [it, inserted] = grouped_standard.try_emplace(key, a);
-        if (!inserted) it->second = std::min(it->second, a);
-        per_sensor_count[static_cast<size_t>(id)] += 1;
-      }
+  // Intra-process history comparison (Fig 13): every admissible record
+  // against its (sensor, group) final standard, in record order. The fold
+  // already rejected unknown sensors.
+  for (const auto& rec : records) {
+    if (is_degenerate(rec) ||
+        engine.sensor_records(rec.sensor_id) < cfg_.min_records) {
+      continue;
+    }
+    const double std_time =
+        std::max(engine.standard_time(rec.sensor_id, rec.metric),
+                 kMinStandardTime);
+    const double normalized = std_time / rec.avg_duration;
+    if (normalized < cfg_.variance_threshold) {
+      result.flagged.push_back({rec, normalized, group_of(cfg_, rec.metric)});
     }
   }
-
-  // Pass 2 — score every admissible record. The gather fills each record's
-  // standard time; the normalization itself is then one vectorized
-  // exactly-rounded divide over the whole batch (invalid lanes compute a
-  // value the accumulation loop never reads).
-  std::vector<double> std_times(n, 0.0);
-  std::vector<uint8_t> admissible(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const double a = avg[i];
-    if (!(a >= kMinStandardTime)) continue;
-    const auto id = static_cast<size_t>(ids[i]);
-    if (per_sensor_count[id] < cfg_.min_records) continue;
-    std_times[i] = grouped
-                       ? grouped_standard.at({ids[i], group_of(metric[i])})
-                       : flat_standard[id];
-    admissible[i] = 1;
-  }
-  std::vector<double> normalized(n);
-  simd::normalize(std_times.data(), avg, n, kMinStandardTime,
-                  normalized.data());
-
-  for (size_t i = 0; i < n; ++i) {
-    if (!admissible[i]) continue;
-    const auto type = sensors[static_cast<size_t>(ids[i])].type;
-    auto& matrix = result.matrices[static_cast<size_t>(type)];
-    const int rank = rk[i];
-    if (rank >= 0 && rank < ranks) {
-      const double mid = 0.5 * (t_begin[i] + t_end[i]);
-      matrix.accumulate(rank, matrix.bucket_of(mid), normalized[i],
-                        static_cast<double>(count[i]));
-    }
-    if (normalized[i] < cfg_.variance_threshold) {
-      result.flagged.push_back(
-          {records.get(i), normalized[i], grouped ? group_of(metric[i]) : 0});
-    }
-  }
-
-  finalize_analysis(result, cfg_);
   return result;
 }
 
@@ -327,13 +217,14 @@ std::vector<Detector::SeriesPoint> Detector::component_series(
   VS_CHECK_MSG(run_time > 0.0, "run time must be positive");
   const auto& sensors = collector.sensors();
 
-  // Per-(sensor, group) standard times, as in analyze_records. Two locked
+  // Per-(sensor, group) standard times, as in the streaming fold. Two locked
   // passes over the shards instead of one full copy of the record set.
   std::map<std::pair<int, int>, double> standard;
   collector.visit_records([&](std::span<const SliceRecord> seg) {
     for (const auto& rec : seg) {
       if (is_degenerate(rec)) continue;
-      const auto key = std::make_pair(rec.sensor_id, group_of(rec.metric));
+      const auto key =
+          std::make_pair(rec.sensor_id, group_of(cfg_, rec.metric));
       auto [it, inserted] = standard.try_emplace(key, rec.avg_duration);
       if (!inserted) it->second = std::min(it->second, rec.avg_duration);
     }
@@ -349,8 +240,9 @@ std::vector<Detector::SeriesPoint> Detector::component_series(
                static_cast<size_t>(rec.sensor_id) < sensors.size());
       if (sensors[static_cast<size_t>(rec.sensor_id)].type != type) continue;
       if (is_degenerate(rec)) continue;
-      const double std_time = std::max(
-          standard.at({rec.sensor_id, group_of(rec.metric)}), kMinStandardTime);
+      const double std_time =
+          std::max(standard.at({rec.sensor_id, group_of(cfg_, rec.metric)}),
+                   kMinStandardTime);
       const double normalized = std_time / rec.avg_duration;
       const double mid = 0.5 * (rec.t_begin + rec.t_end);
       auto b = static_cast<size_t>(std::clamp(

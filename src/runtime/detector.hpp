@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,6 +49,21 @@ struct DetectorConfig {
   /// records can be sparse in time, fragmenting one episode).
   int merge_gap_buckets = 8;
 };
+
+/// The one admissibility check of a DetectorConfig, run by every detector
+/// constructor: throws Error unless the matrix resolution is positive and
+/// the variance threshold lies in (0, 1]. Returns `cfg` for use in member
+/// initializers.
+const DetectorConfig& check_config(const DetectorConfig& cfg);
+
+/// Dynamic-rule group of a record's metric (§5.3): its bucket index under
+/// `cfg.metric_bucket_width`, or group 0 for every record when dynamic
+/// rules are off.
+inline int group_of(const DetectorConfig& cfg, float metric) {
+  if (cfg.metric_bucket_width <= 0.0) return 0;
+  return static_cast<int>(
+      std::floor(static_cast<double>(metric) / cfg.metric_bucket_width));
+}
 
 /// One detected variance region: a component, a time range, a rank range,
 /// and its severity (mean normalized performance inside the region).
@@ -94,6 +110,10 @@ struct AnalysisResult {
   }
 };
 
+/// Batch analysis of a finished (or partial) run. A thin front end over the
+/// one scoring engine: every entry point folds its records once through a
+/// fresh StreamingDetector, takes its finalize(), and adds the flagged-record
+/// list against the engine's final standards.
 class Detector {
  public:
   explicit Detector(DetectorConfig cfg = {});
@@ -111,21 +131,12 @@ class Detector {
   AnalysisResult analyze_until(const Collector& collector, int ranks,
                                double horizon) const;
 
-  /// Core entry: analysis over an explicit record set. Converts once to
-  /// struct-of-arrays and runs analyze_batch.
+  /// Core entry: analysis over an explicit record set — fold, finalize,
+  /// then flag every admissible record (not degenerate, its sensor has at
+  /// least min_records records) scoring below the variance threshold.
   AnalysisResult analyze_records(std::span<const SliceRecord> records,
                                  const std::vector<SensorInfo>& sensors,
                                  int ranks, double run_time) const;
-
-  /// Struct-of-arrays analysis — the vectorized core. Standards come from
-  /// contiguous column scans (flat per-sensor arrays when dynamic rules
-  /// are off, the default), and the per-record normalization is one SIMD
-  /// divide pass (support/simd.hpp). Results are bit-identical to the
-  /// historical per-record path: min/max/divide are exactly rounded and
-  /// the accumulation order over records is preserved.
-  AnalysisResult analyze_batch(const RecordBatch& records,
-                               const std::vector<SensorInfo>& sensors,
-                               int ranks, double run_time) const;
 
   /// §5.2 data merging: all sensors of one component type represent the
   /// same system resource, so their normalized records merge into a single
@@ -151,14 +162,12 @@ class Detector {
   const DetectorConfig& config() const { return cfg_; }
 
  private:
-  int group_of(float metric) const;
-
   DetectorConfig cfg_;
 };
 
-/// Shared tail of the analysis pipeline, used by both the batch Detector
-/// and the StreamingDetector so they produce identical variance regions:
-/// finalizes the accumulated matrices, extracts and merges events,
+/// Shared tail of the analysis pipeline, run by StreamingDetector::finalize
+/// (and by the reference scorer the tests compare it against): finalizes
+/// the accumulated matrices, extracts and merges events,
 /// cross-references Network events against Computation events, and sorts
 /// events most-severe-first.
 void finalize_analysis(AnalysisResult& result, const DetectorConfig& cfg);

@@ -1,6 +1,5 @@
 #include "runtime/record_batch.hpp"
 
-#include "runtime/detector.hpp"
 #include "support/simd.hpp"
 
 namespace vsensor::rt {
@@ -74,11 +73,6 @@ RecordBatch RecordBatch::from_aos(std::span<const SliceRecord> records) {
   RecordBatch batch;
   batch.append(records);
   return batch;
-}
-
-double RecordBatch::min_standard() const {
-  return simd::min_above(avg_duration.data(), avg_duration.size(),
-                         kMinStandardTime);
 }
 
 double RecordBatch::max_t_end() const {

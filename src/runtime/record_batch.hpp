@@ -1,18 +1,18 @@
 // Struct-of-arrays record batches — the hot-path layout of the collection
 // pipeline.
 //
-// A SliceRecord is 56 bytes, but every scoring/normalization kernel touches
-// one or two fields per record: the min-standard scan reads avg_duration,
-// normalization reads avg_duration and metric, the collector scatter reads
-// sensor_id. In array-of-structs form each of those scans strides 56 bytes
-// per touched double and wastes 6/7 of every cache line; in
-// struct-of-arrays form the same scan streams contiguous memory and
-// vectorizes (support/simd.hpp). The staging buffer (BatchStage), the
-// collector ingest scatter, and both detectors' scoring paths therefore
-// operate on RecordBatch; the AoS SliceRecord remains the wire/storage unit
-// (journal frames, session files, ring stores), with loss-free conversion
-// in both directions. Conversion round-trips are bit-identical — pinned by
-// tests/test_record_batch.cpp across all eight mini-apps.
+// A SliceRecord is 56 bytes, but every hot-path scan touches only some of
+// its fields: the ship-time scan reads t_end, the collector scatter reads
+// sensor_id, the streaming fold seven of the ten columns. In
+// array-of-structs form each of those scans strides 56 bytes per touched
+// field and wastes most of every cache line; in struct-of-arrays form the
+// same scan streams contiguous memory (and the t_end scan vectorizes,
+// support/simd.hpp). The staging buffer (BatchStage), the collector ingest
+// scatter, and the detector's one fold therefore operate on RecordBatch;
+// the AoS SliceRecord remains the wire/storage unit (journal frames,
+// session files), with loss-free conversion in both directions. Conversion
+// round-trips are bit-identical — pinned by tests/test_record_batch.cpp
+// across all eight mini-apps.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +46,6 @@ class RecordBatch {
   std::vector<SliceRecord> to_aos() const;
 
   static RecordBatch from_aos(std::span<const SliceRecord> records);
-
-  /// Fastest non-degenerate avg_duration in the batch (+inf when none):
-  /// the min-standard scan, vectorized over the contiguous column.
-  double min_standard() const;
 
   /// Latest slice end in the batch (ship-time scan), -inf when empty.
   double max_t_end() const;

@@ -55,7 +55,7 @@ struct StreamingInstruments {
 StreamingDetector::StreamingDetector(DetectorConfig cfg,
                                      std::vector<SensorInfo> sensors,
                                      int ranks, double run_time)
-    : cfg_(cfg),
+    : cfg_(check_config(cfg)),
       sensors_(std::move(sensors)),
       ranks_(ranks),
       run_time_(run_time),
@@ -63,109 +63,19 @@ StreamingDetector::StreamingDetector(DetectorConfig cfg,
           1, static_cast<int>(std::ceil(run_time / cfg.matrix_resolution)))),
       stats_(sensors_.size()),
       sensor_records_(sensors_.size(), 0) {
-  VS_CHECK_MSG(cfg_.matrix_resolution > 0.0, "matrix resolution must be positive");
   VS_CHECK_MSG(ranks_ > 0, "need at least one rank");
   VS_CHECK_MSG(run_time_ > 0.0, "run time must be positive");
 }
 
-int StreamingDetector::group_of(float metric) const {
-  if (cfg_.metric_bucket_width <= 0.0) return 0;
-  return static_cast<int>(
-      std::floor(static_cast<double>(metric) / cfg_.metric_bucket_width));
-}
-
 int StreamingDetector::bucket_of(double time) const {
-  // Mirrors PerformanceMatrix::bucket_of so streaming and batch analysis
-  // land every record in the same cell.
+  // Mirrors PerformanceMatrix::bucket_of so every record lands in the cell
+  // a direct per-record accumulation would use.
   const int b = static_cast<int>(std::floor(time / cfg_.matrix_resolution));
   return std::clamp(b, 0, buckets_ - 1);
 }
 
 void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
-  VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = StreamingInstruments::get();
-    inst.batches.add();
-    inst.records.add(batch.size());
-  })
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& rec : batch) {
-    VS_CHECK_MSG(rec.sensor_id >= 0 &&
-                     static_cast<size_t>(rec.sensor_id) < sensors_.size(),
-                 "record references unknown sensor");
-    observed_ += 1;
-    // Graceful degradation: a straggler from a rank already declared stale
-    // must not reopen that rank's history.
-    if (stale_.count(rec.rank) != 0) {
-      ++stale_records_;
-      continue;
-    }
-    // Mirror of the batch path's degeneracy rule: a zero/near-zero
-    // duration is a broken measurement, not the fastest slice — it must
-    // not ratchet the running minima down to 0 and zero every later score.
-    if (is_degenerate(rec)) {
-      ++degenerate_records_;
-      continue;
-    }
-    const auto sensor = static_cast<size_t>(rec.sensor_id);
-    const int g = group_of(rec.metric);
-    sensor_records_[sensor] += 1;
-
-    // Running minima. A record that lowers a standard normalizes against
-    // itself (to 1.0), exactly as in the batch path where the global
-    // minimum includes every record.
-    auto [std_it, std_new] = standard_.try_emplace({rec.sensor_id, g},
-                                                   rec.avg_duration);
-    bool std_lowered = std_new;
-    if (!std_new && rec.avg_duration < std_it->second) {
-      std_it->second = rec.avg_duration;
-      std_lowered = true;
-    }
-    if (publish_standards_ && std_lowered) lowered_.insert({rec.sensor_id, g});
-    auto [rank_it, rank_new] = rank_standard_.try_emplace(
-        {rec.sensor_id, g, rec.rank}, rec.avg_duration);
-    if (!rank_new) rank_it->second = std::min(rank_it->second, rec.avg_duration);
-
-    const double inter_norm = std_it->second / rec.avg_duration;
-    const double intra_norm = rank_it->second / rec.avg_duration;
-    if (inter_norm < cfg_.variance_threshold) {
-      ++inter_flags_;
-      VS_OBS_ONLY(
-          if (obs::enabled()) StreamingInstruments::get().inter_flags.add();)
-      if (hooks_) {
-        emit_flag(hooks_, rec.t_end, rec.rank, rec.sensor_id, g, inter_norm,
-                  std_it->second, "inter");
-      }
-    }
-    if (intra_norm < cfg_.variance_threshold) {
-      ++intra_flags_;
-      VS_OBS_ONLY(
-          if (obs::enabled()) StreamingInstruments::get().intra_flags.add();)
-      if (hooks_) {
-        emit_flag(hooks_, rec.t_end, rec.rank, rec.sensor_id, g, intra_norm,
-                  rank_it->second, "intra");
-      }
-    }
-
-    // Welford update over normalized performance.
-    RunningStats& st = stats_[sensor];
-    st.count += 1;
-    const double delta = inter_norm - st.mean;
-    st.mean += delta / static_cast<double>(st.count);
-    st.m2 += delta * (inter_norm - st.mean);
-
-    last_[{rec.sensor_id, rec.rank}] =
-        LastSlice{rec.t_end, rec.avg_duration, inter_norm};
-
-    if (rec.rank >= 0 && rec.rank < ranks_) {
-      const double mid = 0.5 * (rec.t_begin + rec.t_end);
-      CellSums& cell =
-          cells_[{rec.sensor_id, g, rec.rank, bucket_of(mid)}];
-      const auto weight = static_cast<double>(rec.count);
-      cell.weight_over_avg += weight / rec.avg_duration;
-      cell.weight += weight;
-    }
-  }
+  on_batch(RecordBatch::from_aos(batch));
 }
 
 void StreamingDetector::on_batch(const RecordBatch& batch) {
@@ -185,7 +95,6 @@ void StreamingDetector::on_batch(const RecordBatch& batch) {
   const double* t_begin = batch.t_begin.data();
   const double* t_end = batch.t_end.data();
   const uint32_t* count = batch.count.data();
-  const bool grouped = cfg_.metric_bucket_width > 0.0;
   const bool any_stale = !stale_.empty();
 
   // Map-iterator cache: a staged batch is one rank's slices of few
@@ -204,19 +113,25 @@ void StreamingDetector::on_batch(const RecordBatch& batch) {
                  "record references unknown sensor");
     observed_ += 1;
     const int rank = rk[i];
+    // Graceful degradation: a straggler from a rank already declared stale
+    // must not reopen that rank's history.
     if (any_stale && stale_.count(rank) != 0) {
       ++stale_records_;
       continue;
     }
     const double a = avg[i];
-    // Degeneracy rule of the AoS path, on the contiguous column.
+    // A zero/near-zero duration is a broken measurement, not the fastest
+    // slice: it must not ratchet the running minima down to 0 and zero
+    // every later score (is_degenerate, on the contiguous column).
     if (!(a >= kMinStandardTime)) {
       ++degenerate_records_;
       continue;
     }
-    const int g = grouped ? group_of(metric[i]) : 0;
+    const int g = group_of(cfg_, metric[i]);
     sensor_records_[static_cast<size_t>(sensor_id)] += 1;
 
+    // Running minima. A record that lowers a standard normalizes against
+    // itself (to 1.0), as it does against the final standard.
     if (!have_std || sensor_id != cached_sensor || g != cached_group) {
       auto [it, inserted] = standard_.try_emplace({sensor_id, g}, a);
       std_it = it;
@@ -266,6 +181,7 @@ void StreamingDetector::on_batch(const RecordBatch& batch) {
       }
     }
 
+    // Welford update over normalized performance.
     RunningStats& st = stats_[static_cast<size_t>(sensor_id)];
     st.count += 1;
     const double delta = inter_norm - st.mean;
@@ -368,8 +284,15 @@ std::optional<StreamingDetector::LastSlice> StreamingDetector::last_slice(
 
 double StreamingDetector::standard_time(int sensor_id, float metric) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = standard_.find({sensor_id, group_of(metric)});
+  const auto it = standard_.find({sensor_id, group_of(cfg_, metric)});
   return it == standard_.end() ? 0.0 : it->second;
+}
+
+uint64_t StreamingDetector::sensor_records(int sensor_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  VS_CHECK(sensor_id >= 0 &&
+           static_cast<size_t>(sensor_id) < sensor_records_.size());
+  return sensor_records_[static_cast<size_t>(sensor_id)];
 }
 
 uint64_t StreamingDetector::observed_records() const {
@@ -541,8 +464,9 @@ AnalysisResult StreamingDetector::finalize() const {
 
   // Apply the final standards to the standard-free cell sums. A cell's
   // records of one (sensor, group) contributed sum(count/avg); multiplying
-  // by the group's final standard yields exactly the batch Detector's
-  // sum(normalized * count) for those records.
+  // by the group's final standard yields sum(normalized * count) for those
+  // records: std * sum(count/avg) instead of sum(std/avg * count), which
+  // can differ from the per-record form in the last bit (1 ulp).
   for (const auto& [key, cell] : cells_) {
     const auto& [sensor, group, rank, bucket] = key;
     if (sensor_records_[static_cast<size_t>(sensor)] < cfg_.min_records) {

@@ -1,6 +1,7 @@
-// Streaming (incremental) variance detection — the on-line counterpart of
-// the batch Detector (paper §5.4: the dedicated analysis process folds
-// batches as ranks push them, and §2: reports appear during the run).
+// Streaming (incremental) variance detection — the one scoring engine
+// (paper §5.4: the dedicated analysis process folds batches as ranks push
+// them, and §2: reports appear during the run). The batch Detector is a
+// front end that folds a whole record set through it once and finalizes.
 //
 // Each ingested batch updates per-sensor running state in O(batch) work:
 //  * the cross-rank standard time per (sensor, dynamic-rule group) — a
@@ -8,13 +9,14 @@
 //  * each rank's own fastest slice (intra-process comparison, Fig 13);
 //  * Welford mean/variance of normalized performance per sensor;
 //  * per-(rank, time-bucket) matrix contributions, stored in a
-//    standard-free form (sum of weight/duration) so the final matrices are
-//    *identical* to the batch Detector's even though the standard time is
-//    only fully known at the end — no history replay, ever.
+//    standard-free form (sum of weight/duration) so the final matrices
+//    score every record against its *final* standard even though that
+//    standard is only fully known at the end — no history replay, ever.
 //
 // Intra-/inter-process variance flags are raised online against the
 // standards known at arrival time; the final matrices and variance events
-// from finalize() match Detector::analyze_records on the same records.
+// from finalize() score every record against its final standard, whatever
+// the arrival order or batch boundaries.
 #pragma once
 
 #include <cstdint>
@@ -53,17 +55,16 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   StreamingDetector(DetectorConfig cfg, std::vector<SensorInfo> sensors,
                     int ranks, double run_time);
 
-  /// Fold one batch into the running state. Thread-safe; O(batch) work.
+  /// Fold one AoS batch: converts to struct-of-arrays and runs the one
+  /// fold below. Thread-safe; O(batch) work.
   void on_batch(std::span<const SliceRecord> batch) override;
   void observe(std::span<const SliceRecord> batch) { on_batch(batch); }
 
-  /// Struct-of-arrays fold — what the collector forwards on the staging
-  /// hot path. Semantically identical to the AoS overload record for
-  /// record (same sequential arrival order, so the same running minima,
-  /// flags, and Welford state), but the scans run over contiguous columns
-  /// and the standard-time map lookups are cached across runs of records
-  /// sharing one (sensor, group, rank) — the common shape of a staged
-  /// batch, which holds one rank's slices.
+  /// The fold — what the collector forwards on the staging hot path.
+  /// Records fold in sequential arrival order; the scans run over
+  /// contiguous columns and the standard-time map lookups are cached
+  /// across runs of records sharing one (sensor, group, rank) — the common
+  /// shape of a staged batch, which holds one rank's slices.
   void on_batch(const RecordBatch& batch) override;
 
   /// Welford running statistics over normalized performance, per sensor.
@@ -88,6 +89,10 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
 
   /// Cross-rank standard time of the record's (sensor, group); 0 if unseen.
   double standard_time(int sensor_id, float metric) const;
+
+  /// Non-degenerate records folded for one sensor: the history the
+  /// min_records cut in finalize() counts.
+  uint64_t sensor_records(int sensor_id) const;
 
   /// Graceful degradation under transport failure: once a rank is marked
   /// stale (its batch deliveries stopped arriving — see
@@ -144,9 +149,9 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// Slices below threshold against the cross-rank standard (§5.4).
   uint64_t inter_flags() const;
 
-  /// Final matrices and variance events, identical to
-  /// Detector::analyze_records over the same records (AnalysisResult::flagged
-  /// stays empty — the online flag counters replace the replayed list).
+  /// Final matrices and variance events. AnalysisResult::flagged stays
+  /// empty: the online flag counters replace the replayed list, which the
+  /// batch Detector front end adds against the final standards.
   AnalysisResult finalize() const;
 
   const DetectorConfig& config() const { return cfg_; }
@@ -214,7 +219,6 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   void reset();
 
  private:
-  int group_of(float metric) const;
   int bucket_of(double time) const;
 
   DetectorConfig cfg_;

@@ -2,7 +2,8 @@
 // harness. Every kernel (DGEMM, STREAM, SHA256, CAPACITY) is swept through
 // every hostile scenario (multi-tenant interference, diurnal load swings,
 // elastic ranks) and each combination must hold four invariants at once:
-//  * streaming detection == batch detection at finalize;
+//  * streaming detection and the batch front end == the naive reference
+//    scorer (tests/reference_scorer.hpp) at finalize;
 //  * the N-shard analysis tier is bit-identical to a single server fed the
 //    same delivery stream, for N in {1, 2, 4};
 //  * the record stream is byte-identical across same-seed replays;
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "analysis/analysis.hpp"
+#include "reference_scorer.hpp"
 #include "ir/ir.hpp"
 #include "minic/parser.hpp"
 #include "minic/sema.hpp"
@@ -151,40 +153,6 @@ void expect_records_identical(const std::vector<SliceRecord>& a,
     EXPECT_EQ(a[i].count, b[i].count) << i;
     EXPECT_EQ(a[i].metric, b[i].metric) << i;
   }
-}
-
-/// Streaming-vs-batch contract, at the strictness the streaming suite
-/// established: cells and severities to 1e-12 (the two paths accumulate
-/// per-cell sums in per-cell-identical order, but the batch path iterates
-/// collector shard-major order, so cross-cell fp scheduling may differ),
-/// everything discrete exactly equal.
-void expect_streaming_matches_batch(const AnalysisResult& batch,
-                                    const AnalysisResult& streaming) {
-  for (int t = 0; t < kSensorTypeCount; ++t) {
-    const auto& bm = batch.matrices[static_cast<size_t>(t)];
-    const auto& sm = streaming.matrices[static_cast<size_t>(t)];
-    ASSERT_EQ(bm.ranks(), sm.ranks());
-    ASSERT_EQ(bm.buckets(), sm.buckets());
-    for (int r = 0; r < bm.ranks(); ++r) {
-      for (int b = 0; b < bm.buckets(); ++b) {
-        ASSERT_EQ(bm.has(r, b), sm.has(r, b)) << "cell " << r << "," << b;
-        if (bm.has(r, b)) {
-          EXPECT_NEAR(bm.at(r, b), sm.at(r, b), 1e-12)
-              << "cell " << r << "," << b;
-        }
-      }
-    }
-  }
-  ASSERT_EQ(batch.events.size(), streaming.events.size());
-  for (size_t i = 0; i < batch.events.size(); ++i) {
-    EXPECT_EQ(batch.events[i].type, streaming.events[i].type) << i;
-    EXPECT_EQ(batch.events[i].rank_begin, streaming.events[i].rank_begin) << i;
-    EXPECT_EQ(batch.events[i].rank_end, streaming.events[i].rank_end) << i;
-    EXPECT_EQ(batch.events[i].cells, streaming.events[i].cells) << i;
-    EXPECT_NEAR(batch.events[i].severity, streaming.events[i].severity, 1e-12)
-        << i;
-  }
-  EXPECT_EQ(batch.stale_ranks, streaming.stale_ranks);
 }
 
 /// Single-server reference: collector + detector + crash-tolerant server.
@@ -418,15 +386,14 @@ TEST(Kernels, HostileSweepHoldsAllDetectionInvariants) {
                                canonical(observed.records()));
       expect_bit_identical(streaming.finalize(), obs_streaming.finalize());
 
-      // Invariant 3 — streaming == batch at finalize, over exactly the
-      // ranks the streaming side still trusts.
-      const Detector detector(dcfg);
+      // Invariant 3 — streaming == batch == reference at finalize, over
+      // exactly the ranks the streaming side still trusts.
       const auto kept =
           drop_stale_ranks(collected.records(), run.stale_ranks);
-      auto batch =
-          detector.analyze_records(kept, kernel->sensors(), ranks, T);
-      batch.stale_ranks = run.stale_ranks;
-      expect_streaming_matches_batch(batch, streaming.finalize());
+      const auto streamed = streaming.finalize();
+      reference::expect_equivalent(kept, kernel->sensors(), dcfg, ranks, T,
+                                   streamed);
+      EXPECT_EQ(streamed.stale_ranks, run.stale_ranks);
 
       // Invariant 4 — N-shard tier bit-identical to a single server fed
       // the same deterministic delivery stream, N in {1, 2, 4}.

@@ -2,9 +2,9 @@
 //
 // The record path converts between AoS SliceRecords (the wire/storage
 // layout) and SoA RecordBatches (the scan layout) at several seams; every
-// conversion must be bit-identical, and every SoA/SIMD kernel must match
-// its scalar definition bit for bit — otherwise enabling the hot path
-// could change a detection result. "Bit-identical" here is literal: the
+// conversion must be bit-identical, and the SIMD kernel must match its
+// scalar definition bit for bit — otherwise enabling the hot path could
+// change a result. "Bit-identical" here is literal: the
 // comparisons below go through std::bit_cast / memcmp, not operator==, so
 // NaN payloads and signed zeros count too.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <limits>
 #include <random>
 
+#include "reference_scorer.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/record_batch.hpp"
@@ -114,24 +115,6 @@ TEST(RecordBatch, RoundTripIsBitIdenticalOnAllEightMiniApps) {
   }
 }
 
-TEST(RecordBatch, MinStandardMatchesScalarDefinition) {
-  auto records = random_records(1001, 3);
-  records[10].avg_duration = 0.0;  // degenerate: below kMinStandardTime
-  records[11].avg_duration = std::numeric_limits<double>::quiet_NaN();
-  const RecordBatch batch = RecordBatch::from_aos(records);
-
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& r : records) {
-    if (r.avg_duration >= kMinStandardTime && r.avg_duration < best) {
-      best = r.avg_duration;
-    }
-  }
-  EXPECT_TRUE(bit_equal(batch.min_standard(), best));
-
-  EXPECT_TRUE(bit_equal(RecordBatch().min_standard(),
-                        std::numeric_limits<double>::infinity()));
-}
-
 TEST(RecordBatch, MaxTEndMatchesScalarDefinition) {
   const auto records = random_records(513, 4);
   const RecordBatch batch = RecordBatch::from_aos(records);
@@ -140,55 +123,19 @@ TEST(RecordBatch, MaxTEndMatchesScalarDefinition) {
   EXPECT_TRUE(bit_equal(batch.max_t_end(), best));
 }
 
-// Every SIMD kernel against its scalar definition, over sizes that cover
-// the vector tail (odd lengths) and lanes a masked compare must skip.
-TEST(Simd, KernelsMatchScalarBitForBit) {
+// The SIMD max kernel against its scalar definition, over sizes that cover
+// the vector tail (odd lengths), with a NaN and a negative zero in the data.
+TEST(Simd, MaxValueMatchesScalarBitForBit) {
   std::mt19937_64 rng(5);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
                          size_t{64}, size_t{1023}}) {
     std::vector<double> v(n);
-    std::vector<double> d(n);
-    for (size_t i = 0; i < n; ++i) {
-      v[i] = dist(rng);
-      d[i] = dist(rng) + 2.0;  // positive denominators
-    }
+    for (size_t i = 0; i < n; ++i) v[i] = dist(rng);
     if (n > 2) {
       v[0] = std::numeric_limits<double>::quiet_NaN();
       v[1] = -0.0;
     }
-    const double floor = kMinStandardTime;
-
-    double scalar_min = std::numeric_limits<double>::infinity();
-    for (const double x : v) {
-      if (x >= floor && x < scalar_min) scalar_min = x;
-    }
-    EXPECT_TRUE(bit_equal(simd::min_above(v.data(), n, floor), scalar_min))
-        << "n=" << n;
-
-    std::vector<double> out(n);
-    std::vector<double> expect(n);
-    simd::normalize(v.data(), d.data(), n, floor, out.data());
-    for (size_t i = 0; i < n; ++i) {
-      // The kernel's scalar definition: a NaN standard clamps to the floor
-      // (s > floor is false for NaN), unlike std::max which propagates it.
-      expect[i] = (v[i] > floor ? v[i] : floor) / d[i];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(bit_equal(out[i], expect[i])) << "n=" << n << " i=" << i;
-    }
-
-    simd::normalize_uniform(0.5, d.data(), n, floor, out.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(bit_equal(out[i], 0.5 / d[i])) << "n=" << n << " i=" << i;
-    }
-
-    uint64_t scalar_count = 0;
-    for (const double x : v) {
-      if (x < 0.25) ++scalar_count;
-    }
-    EXPECT_EQ(simd::count_below(v.data(), n, 0.25), scalar_count) << "n=" << n;
-
     double scalar_max = -std::numeric_limits<double>::infinity();
     for (const double x : v) {
       if (x > scalar_max) scalar_max = x;
@@ -243,7 +190,7 @@ void expect_same_state(const StreamingDetector::Snapshot& a,
   }
 }
 
-// The SoA fold is the hot path; the AoS fold is the definition. Same
+// The SoA fold is the one fold; the AoS entry converts and delegates. Same
 // records through each must leave bit-identical detector state — running
 // minima, Welford accumulators, matrix cell sums, flags, everything.
 TEST(StreamingDetector, SoaFoldMatchesAosFoldBitForBit) {
@@ -274,9 +221,10 @@ TEST(StreamingDetector, SoaFoldMatchesAosFoldBitForBit) {
   expect_same_state(via_aos.snapshot(), via_soa.snapshot());
 }
 
-// analyze_batch is the vectorized core analyze_records wraps; the results
-// must agree with a from-scratch scalar path on mini-app records too.
-TEST(Detector, AnalyzeBatchAgreesWithStreamingOnMiniApp) {
+// The batch front end and the engine it wraps, against the naive reference
+// scorer on a mini-app run: cells and severities to 1e-12, event bounds and
+// the flagged list exact.
+TEST(Detector, FrontEndMatchesReferenceOnMiniApp) {
   auto workload = workloads::make_workload("CG");
   workloads::RunOptions opts;
   opts.params.iterations = 4;
@@ -289,30 +237,12 @@ TEST(Detector, AnalyzeBatchAgreesWithStreamingOnMiniApp) {
   const auto records = collector.take_records();
   ASSERT_FALSE(records.empty());
 
-  Detector detector;
+  const DetectorConfig dcfg;
   const auto sensors = workload->sensors();
-  const auto batch = detector.analyze_batch(RecordBatch::from_aos(records),
-                                            sensors, 8, run.makespan);
-  const auto aos = detector.analyze_records(records, sensors, 8, run.makespan);
-  ASSERT_EQ(batch.events.size(), aos.events.size());
-  ASSERT_EQ(batch.flagged.size(), aos.flagged.size());
-  for (size_t i = 0; i < batch.flagged.size(); ++i) {
-    EXPECT_TRUE(bit_equal(batch.flagged[i].normalized,
-                          aos.flagged[i].normalized))
-        << i;
-  }
-
-  StreamingDetector streaming(DetectorConfig{}, sensors, 8, run.makespan);
+  StreamingDetector streaming(dcfg, sensors, 8, run.makespan);
   streaming.on_batch(RecordBatch::from_aos(records));
-  const auto streamed = streaming.finalize();
-  ASSERT_EQ(streamed.events.size(), batch.events.size());
-  for (size_t i = 0; i < streamed.events.size(); ++i) {
-    EXPECT_EQ(streamed.events[i].type, batch.events[i].type) << i;
-    EXPECT_EQ(streamed.events[i].rank_begin, batch.events[i].rank_begin) << i;
-    EXPECT_EQ(streamed.events[i].rank_end, batch.events[i].rank_end) << i;
-    EXPECT_NEAR(streamed.events[i].severity, batch.events[i].severity, 1e-12)
-        << i;
-  }
+  reference::expect_equivalent(records, sensors, dcfg, 8, run.makespan,
+                               streaming.finalize());
 }
 
 }  // namespace

@@ -395,6 +395,16 @@ TEST(Detector, DegenerateRecordsDoNotCountTowardMinRecords) {
   for (int b = 0; b < m.buckets(); ++b) EXPECT_FALSE(m.has(0, b));
 }
 
+TEST(Detector, RejectsDegenerateRecordOfUnknownSensor) {
+  // Regression: the sensor id is checked before the degeneracy skip, so a
+  // zero-duration record naming a sensor outside the table cannot pass
+  // batch analysis silently.
+  const std::vector<SensorInfo> sensors{
+      {"s", SensorType::Computation, "f.c", 1}};
+  const std::vector<SliceRecord> records{make_record(99, 0, 0.05, 0.0)};
+  EXPECT_THROW(Detector().analyze_records(records, sensors, 1, 1.0), Error);
+}
+
 TEST(Detector, MinRecordsSuppressesThinSensors) {
   Collector collector;
   collector.set_sensors({{"s", SensorType::Computation, "f.c", 1}});

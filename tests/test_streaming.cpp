@@ -1,13 +1,15 @@
-// Streaming detector: incremental folding must reproduce the batch
-// Detector's variance regions exactly — validated on the paper's Fig 13
-// online-detection example and a Fig 14-style workload run — plus the
-// online flag/statistics surface the batch path cannot provide.
+// Streaming detector: incremental folding, and the batch Detector front end
+// over it, must reproduce the naive reference scorer's variance regions and
+// flagged records (tests/reference_scorer.hpp) — validated on the paper's
+// Fig 13 online-detection example and a Fig 14-style workload run — plus
+// the online flag/statistics surface a batch analysis cannot provide.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <thread>
 #include <vector>
 
+#include "reference_scorer.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/streaming_detector.hpp"
@@ -51,38 +53,6 @@ void feed_in_batches(StreamingDetector& streaming,
   }
 }
 
-void expect_equivalent(const AnalysisResult& batch,
-                       const AnalysisResult& streaming) {
-  for (int t = 0; t < kSensorTypeCount; ++t) {
-    const auto& bm = batch.matrices[static_cast<size_t>(t)];
-    const auto& sm = streaming.matrices[static_cast<size_t>(t)];
-    ASSERT_EQ(bm.ranks(), sm.ranks());
-    ASSERT_EQ(bm.buckets(), sm.buckets());
-    for (int r = 0; r < bm.ranks(); ++r) {
-      for (int b = 0; b < bm.buckets(); ++b) {
-        ASSERT_EQ(bm.has(r, b), sm.has(r, b)) << "cell " << r << "," << b;
-        if (bm.has(r, b)) {
-          EXPECT_NEAR(bm.at(r, b), sm.at(r, b), 1e-12)
-              << "cell " << r << "," << b;
-        }
-      }
-    }
-  }
-  ASSERT_EQ(batch.events.size(), streaming.events.size());
-  for (size_t i = 0; i < batch.events.size(); ++i) {
-    const auto& be = batch.events[i];
-    const auto& se = streaming.events[i];
-    EXPECT_EQ(be.type, se.type) << i;
-    EXPECT_EQ(be.rank_begin, se.rank_begin) << i;
-    EXPECT_EQ(be.rank_end, se.rank_end) << i;
-    EXPECT_EQ(be.cells, se.cells) << i;
-    EXPECT_DOUBLE_EQ(be.t_begin, se.t_begin) << i;
-    EXPECT_DOUBLE_EQ(be.t_end, se.t_end) << i;
-    EXPECT_NEAR(be.severity, se.severity, 1e-12) << i;
-    EXPECT_EQ(be.likely_wait_on_slow_ranks, se.likely_wait_on_slow_ranks) << i;
-  }
-}
-
 std::vector<SensorInfo> one_sensor() {
   return {{"s", SensorType::Computation, "f.c", 1}};
 }
@@ -102,9 +72,16 @@ TEST(StreamingDetector, Fig13ConstantRuleFlagsRecords246) {
   EXPECT_EQ(streaming.intra_flags(), 3u);
   EXPECT_DOUBLE_EQ(streaming.standard_time(0, 0.1F), 3.0);
 
-  Detector batch(cfg);
-  const auto expected = batch.analyze_records(records, one_sensor(), 1, 10e-3);
-  expect_equivalent(expected, streaming.finalize());
+  reference::expect_equivalent(records, one_sensor(), cfg, 1, 10e-3,
+                               streaming.finalize());
+  // The batch front end flags the same three records against the final
+  // standard.
+  const auto batch = Detector(cfg).analyze_records(records, one_sensor(), 1,
+                                                   10e-3);
+  ASSERT_EQ(batch.flagged.size(), 3u);
+  EXPECT_DOUBLE_EQ(batch.flagged[0].record.avg_duration, 7.0);
+  EXPECT_DOUBLE_EQ(batch.flagged[1].record.avg_duration, 5.0);
+  EXPECT_DOUBLE_EQ(batch.flagged[2].record.avg_duration, 7.0);
 }
 
 TEST(StreamingDetector, Fig13DynamicRuleLeavesOnlyRecord4) {
@@ -122,12 +99,15 @@ TEST(StreamingDetector, Fig13DynamicRuleLeavesOnlyRecord4) {
   EXPECT_DOUBLE_EQ(streaming.standard_time(0, 0.1F), 3.0);
   EXPECT_DOUBLE_EQ(streaming.standard_time(0, 0.9F), 7.0);
 
-  Detector batch(cfg);
-  const auto expected = batch.analyze_records(records, one_sensor(), 1, 10e-3);
-  expect_equivalent(expected, streaming.finalize());
+  reference::expect_equivalent(records, one_sensor(), cfg, 1, 10e-3,
+                               streaming.finalize());
+  const auto batch = Detector(cfg).analyze_records(records, one_sensor(), 1,
+                                                   10e-3);
+  ASSERT_EQ(batch.flagged.size(), 1u);
+  EXPECT_DOUBLE_EQ(batch.flagged[0].record.avg_duration, 5.0);
 }
 
-TEST(StreamingDetector, OutlierRankScenarioMatchesBatch) {
+TEST(StreamingDetector, OutlierRankScenarioMatchesReference) {
   // The Fig 21-style bad-node shape: 8 ranks, rank 5 twice as slow.
   std::vector<SliceRecord> records;
   for (int rank = 0; rank < 8; ++rank) {
@@ -141,9 +121,7 @@ TEST(StreamingDetector, OutlierRankScenarioMatchesBatch) {
   feed_in_batches(streaming, records, 64);
   const auto result = streaming.finalize();
 
-  Detector batch(cfg);
-  expect_equivalent(batch.analyze_records(records, one_sensor(), 8, 10.0),
-                    result);
+  reference::expect_equivalent(records, one_sensor(), cfg, 8, 10.0, result);
   ASSERT_FALSE(result.events.empty());
   EXPECT_EQ(result.events.front().rank_begin, 5);
   EXPECT_EQ(result.events.front().rank_end, 5);
@@ -154,7 +132,7 @@ TEST(StreamingDetector, OutlierRankScenarioMatchesBatch) {
   EXPECT_NEAR(last->normalized, 0.5, 0.05);
 }
 
-TEST(StreamingDetector, Fig14WorkloadRunMatchesBatch) {
+TEST(StreamingDetector, Fig14WorkloadRunMatchesReference) {
   // The Fig 14 scenario at test scale: mini-CG under baseline OS jitter.
   const auto cg = workloads::make_workload("CG");
   auto cluster = workloads::baseline_config(/*ranks=*/16);
@@ -174,15 +152,14 @@ TEST(StreamingDetector, Fig14WorkloadRunMatchesBatch) {
   feed_in_batches(streaming, records, 128);
   EXPECT_EQ(streaming.observed_records(), records.size());
 
-  Detector batch(cfg);
-  expect_equivalent(batch.analyze(server, cluster.ranks, run.makespan),
-                    streaming.finalize());
+  reference::expect_equivalent(records, server.sensors(), cfg, cluster.ranks,
+                               run.makespan, streaming.finalize());
 }
 
 TEST(StreamingDetector, AttachedToCollectorUnderConcurrentIngest) {
   // Live wiring: the collector forwards every batch to the streaming
   // detector while four rank threads push concurrently; the final regions
-  // still match a batch analysis of the same retained records.
+  // still match the reference over the same retained records.
   DetectorConfig cfg;
   Collector collector;
   collector.set_sensors(one_sensor());
@@ -204,10 +181,9 @@ TEST(StreamingDetector, AttachedToCollectorUnderConcurrentIngest) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(streaming.observed_records(), 400u);
 
-  Detector batch(cfg);
-  const auto expected = batch.analyze(collector, 4, 10.0);
   const auto result = streaming.finalize();
-  expect_equivalent(expected, result);
+  reference::expect_equivalent(collector.records(), one_sensor(), cfg, 4,
+                               10.0, result);
   ASSERT_FALSE(result.events.empty());
   EXPECT_LE(result.events.front().rank_end, 1);
 }
@@ -257,17 +233,28 @@ TEST(StreamingDetector, ZeroDurationRecordsAreQuarantined) {
   ASSERT_TRUE(last.has_value());
   EXPECT_GT(last->avg_duration, 0.0);
 
-  // And the batch detector quarantines the same record, so the two paths
-  // still agree cell for cell.
-  Detector batch(cfg);
-  const auto expected = batch.analyze_records(records, one_sensor(), 1, 10e-3);
-  expect_equivalent(expected, streaming.finalize());
+  // And the reference quarantines the same record, so the paths still
+  // agree cell for cell.
+  reference::expect_equivalent(records, one_sensor(), cfg, 1, 10e-3,
+                               streaming.finalize());
 }
 
 TEST(StreamingDetector, RejectsUnknownSensor) {
   StreamingDetector streaming({}, one_sensor(), 1, 1.0);
   std::vector<SliceRecord> batch{make_record(7, 0, 0.0, 1e-6)};
   EXPECT_THROW(streaming.observe(batch), Error);
+}
+
+// The engine runs the same config checks as the batch front end: a
+// threshold above 1 would flag even a perfect record (normalized 1.0).
+TEST(StreamingDetector, RejectsThresholdOutsideUnitInterval) {
+  DetectorConfig cfg;
+  cfg.variance_threshold = 1.5;
+  EXPECT_THROW(StreamingDetector(cfg, one_sensor(), 1, 1.0), Error);
+  cfg.variance_threshold = 0.0;
+  EXPECT_THROW(StreamingDetector(cfg, one_sensor(), 1, 1.0), Error);
+  cfg.variance_threshold = 1.0;
+  EXPECT_NO_THROW(StreamingDetector(cfg, one_sensor(), 1, 1.0));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Resilient batch transport: sequencing, dedup, retry/backoff, delay and
-// reorder, rank-kill, stale tracking — plus streaming-vs-batch equivalence
-// under adversarial delivery and the full fault-injection acceptance run.
+// reorder, rank-kill, stale tracking — plus streaming-vs-reference
+// equivalence (tests/reference_scorer.hpp) under adversarial delivery and
+// the full fault-injection acceptance run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "reference_scorer.hpp"
 #include "obs/obs.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
@@ -54,31 +56,6 @@ std::vector<SliceRecord> sorted_records(const Collector& collector) {
                      std::tie(b.sensor_id, b.rank, b.t_begin, b.avg_duration);
             });
   return records;
-}
-
-void expect_same_matrices(const AnalysisResult& batch,
-                          const AnalysisResult& streaming) {
-  for (int t = 0; t < kSensorTypeCount; ++t) {
-    const auto& bm = batch.matrices[static_cast<size_t>(t)];
-    const auto& sm = streaming.matrices[static_cast<size_t>(t)];
-    ASSERT_EQ(bm.ranks(), sm.ranks());
-    ASSERT_EQ(bm.buckets(), sm.buckets());
-    for (int r = 0; r < bm.ranks(); ++r) {
-      for (int b = 0; b < bm.buckets(); ++b) {
-        ASSERT_EQ(bm.has(r, b), sm.has(r, b))
-            << "type " << t << " cell " << r << "," << b;
-        if (bm.has(r, b)) {
-          EXPECT_NEAR(bm.at(r, b), sm.at(r, b), 1e-12)
-              << "type " << t << " cell " << r << "," << b;
-        }
-      }
-    }
-  }
-  ASSERT_EQ(batch.events.size(), streaming.events.size());
-  for (size_t i = 0; i < batch.events.size(); ++i) {
-    EXPECT_EQ(batch.events[i].type, streaming.events[i].type) << i;
-    EXPECT_EQ(batch.events[i].cells, streaming.events[i].cells) << i;
-  }
 }
 
 /// Scripted fault model: a fixed fate per (seq, attempt) for every rank.
@@ -665,10 +642,10 @@ TEST(FaultInjector, AttemptsAreIndependentSoRetriesCanSucceed) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming-vs-batch equivalence under adversarial delivery
+// Streaming-vs-reference equivalence under adversarial delivery
 // ---------------------------------------------------------------------------
 
-TEST(Transport, StreamingMatchesBatchUnderAdversarialDelivery) {
+TEST(Transport, StreamingMatchesReferenceUnderAdversarialDelivery) {
   const int ranks = 4;
   const double run_time = 0.1;
   DetectorConfig dcfg;
@@ -716,12 +693,10 @@ TEST(Transport, StreamingMatchesBatchUnderAdversarialDelivery) {
   EXPECT_EQ(streaming.observed_records(), totals.records_delivered);
   EXPECT_EQ(collector.record_count(), totals.records_delivered);
 
-  // ...and folds them into the same matrices the batch detector computes
+  // ...and folds them into the same matrices the reference scorer computes
   // from the collector's retained records.
-  const Detector detector(dcfg);
-  const auto batch = detector.analyze_records(collector.records(),
-                                              one_sensor(), ranks, run_time);
-  expect_same_matrices(batch, streaming.finalize());
+  reference::expect_equivalent(collector.records(), one_sensor(), dcfg, ranks,
+                               run_time, streaming.finalize());
 }
 
 TEST(Streaming, MidRunMarkStaleExcludesStragglers) {
@@ -754,12 +729,10 @@ TEST(Streaming, MidRunMarkStaleExcludesStragglers) {
 
   const auto result = streaming.finalize();
   EXPECT_EQ(result.stale_ranks, std::vector<int>{1});
-  // The matrices match a batch analysis over only the folded records: the
-  // stale rank's stragglers (all far below the standard) left no trace.
-  const Detector detector(dcfg);
-  const auto batch =
-      detector.analyze_records(kept, one_sensor(), ranks, run_time);
-  expect_same_matrices(batch, result);
+  // The matrices match an analysis over only the folded records: the stale
+  // rank's stragglers (all far below the standard) left no trace.
+  reference::expect_equivalent(kept, one_sensor(), dcfg, ranks, run_time,
+                               result);
 }
 
 TEST(Detector, DropStaleRanksFiltersRecords) {
@@ -876,12 +849,10 @@ TEST(TransportWorkload, FaultInjectionAcceptanceScenario) {
   EXPECT_NE(std::find(run.stale_ranks.begin(), run.stale_ranks.end(), 2),
             run.stale_ranks.end());
 
-  // Graceful degradation: the surviving analysis equals a batch analysis
-  // of exactly the records that were delivered.
-  const Detector detector(dcfg);
-  const auto batch = detector.analyze_records(collector.records(),
-                                              cg->sensors(), ranks, makespan);
-  expect_same_matrices(batch, streaming.finalize());
+  // Graceful degradation: the surviving analysis equals an analysis of
+  // exactly the records that were delivered.
+  reference::expect_equivalent(collector.records(), cg->sensors(), dcfg,
+                               ranks, makespan, streaming.finalize());
   EXPECT_EQ(streaming.observed_records(), totals.records_delivered);
 }
 
@@ -931,11 +902,9 @@ TEST(TransportWorkload, ServerlessRunSweepsStaleIntoDetector) {
   EXPECT_EQ(streaming.finalize().stale_ranks, run.stale_ranks);
 
   // The sweep happens at end of run, after every record was folded, so the
-  // analysis still equals a batch analysis over the delivered records.
-  const Detector detector(dcfg);
-  const auto batch = detector.analyze_records(collector.records(),
-                                              cg->sensors(), ranks, makespan);
-  expect_same_matrices(batch, streaming.finalize());
+  // analysis still equals an analysis over the delivered records.
+  reference::expect_equivalent(collector.records(), cg->sensors(), dcfg,
+                               ranks, makespan, streaming.finalize());
 }
 
 }  // namespace
