@@ -112,7 +112,7 @@ void BM_StreamingFinalize(benchmark::State& state) {
         batch[i].t_begin = static_cast<double>(i) * 0.15;
         batch[i].t_end = batch[i].t_begin + 1e-3;
       }
-      streaming.observe(batch);
+      streaming.on_batch(batch);
     }
   }
   for (auto _ : state) {

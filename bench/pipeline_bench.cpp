@@ -12,6 +12,8 @@
 // throughput at any rank count.
 //
 // Usage: pipeline_bench [output.json]
+#include <malloc.h>
+
 #include <cstdio>
 #include <random>
 #include <span>
@@ -22,7 +24,6 @@
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/journal.hpp"
-#include "runtime/record_batch.hpp"
 #include "runtime/sharded_tier.hpp"
 #include "runtime/slicer.hpp"
 #include "runtime/streaming_detector.hpp"
@@ -169,8 +170,7 @@ void bench_detector(BenchReporter& out) {
   }
 
   StreamingDetector streaming(DetectorConfig{}, sensors, kRanks, kRunTime);
-  const RecordBatch batch = RecordBatch::from_aos(records);
-  streaming.on_batch(batch);
+  streaming.on_batch(records);
   out.measure("detector.finalize", "ms", Direction::kLowerIsBetter, 5, [&] {
     size_t events = 0;
     const double s =
@@ -179,8 +179,8 @@ void bench_detector(BenchReporter& out) {
     return s * 1e3;
   });
 
-  // The batch front end end to end: SoA conversion, one fold, finalize,
-  // and the flagged-record pass.
+  // The batch front end end to end: one fold, finalize, and the
+  // flagged-record pass.
   Detector detector;
   out.measure("detector.analyze", "ms", Direction::kLowerIsBetter, 5, [&] {
     size_t events = 0;
@@ -255,6 +255,10 @@ void bench_fanin(BenchReporter& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Pin glibc's mmap threshold: left dynamic, it ratchets up with the
+  // sizes earlier runs freed, so a metric's allocation cost would depend
+  // on which runs came before it.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_pipeline.json";
   BenchReporter out("pipeline");
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "obs/health.hpp"
-#include "runtime/record_batch.hpp"
 #include "runtime/types.hpp"
 #include "support/ring_buffer.hpp"
 
@@ -36,13 +35,6 @@ class BatchSink {
  public:
   virtual ~BatchSink() = default;
   virtual void on_batch(std::span<const SliceRecord> batch) = 0;
-  /// Struct-of-arrays delivery (the staging hot path). The default bridges
-  /// to the AoS entry so existing sinks keep working; SoA-native sinks
-  /// (the streaming detector) override to skip the gather.
-  virtual void on_batch(const RecordBatch& batch) {
-    const auto aos = batch.to_aos();
-    on_batch(std::span<const SliceRecord>(aos));
-  }
   /// Transport-layer stale verdict for `rank` (BatchTransport::sweep_stale
   /// forwarded through the collector). Default ignores it; the streaming
   /// detector overrides to exclude the rank's stragglers. This is how the
@@ -87,12 +79,6 @@ class Collector : public DeliverySink, public obs::HealthSource {
   /// Receive one batch from a rank. Thread-safe: records scatter to their
   /// sensor's shard, and each shard mutex is taken at most once per batch.
   void ingest(std::span<const SliceRecord> batch);
-
-  /// Struct-of-arrays ingest (what BatchStage ships): the shard scatter
-  /// scans the contiguous sensor-id column instead of striding through
-  /// 56-byte records, and the batch reaches an SoA-native sink without an
-  /// intermediate gather. Accounting identical to the AoS overload.
-  void ingest(const RecordBatch& batch);
 
   /// Transport delivery: the metadata is dropped and the batch ingested.
   void on_delivery(int /*rank*/, uint64_t /*seq*/,

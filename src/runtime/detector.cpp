@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "runtime/record_batch.hpp"
 #include "runtime/streaming_detector.hpp"
 #include "support/error.hpp"
 
@@ -89,7 +88,7 @@ AnalysisResult Detector::analyze_records(std::span<const SliceRecord> records,
   // record set: the fold computes the final standards and the
   // standard-free cell sums, finalize() turns them into matrices and events.
   StreamingDetector engine(cfg_, sensors, ranks, run_time);
-  engine.on_batch(RecordBatch::from_aos(records));
+  engine.on_batch(records);
   AnalysisResult result = engine.finalize();
 
   // Intra-process history comparison (Fig 13): every admissible record

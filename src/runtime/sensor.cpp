@@ -90,7 +90,7 @@ SensorRuntime::SensorRuntime(RuntimeConfig cfg, int rank, Collector* collector,
       rank_(rank),
       now_(std::move(now)),
       charge_(std::move(charge)),
-      stage_(collector, cfg.batch_records, cfg.stage_reserve_records) {
+      stage_(collector, cfg.batch_records) {
   VS_CHECK_MSG(now_ != nullptr, "SensorRuntime needs a clock");
   VS_CHECK_MSG(charge_ != nullptr, "SensorRuntime needs a charge function");
 }
@@ -102,7 +102,7 @@ SensorRuntime::SensorRuntime(RuntimeConfig cfg, int rank,
       rank_(rank),
       now_(std::move(now)),
       charge_(std::move(charge)),
-      stage_(transport, rank, cfg.batch_records, cfg.stage_reserve_records) {
+      stage_(transport, rank, cfg.batch_records) {
   VS_CHECK_MSG(now_ != nullptr, "SensorRuntime needs a clock");
   VS_CHECK_MSG(charge_ != nullptr, "SensorRuntime needs a charge function");
 }

@@ -60,6 +60,10 @@ void AnalysisServer::set_crash_plan(std::vector<double> times, uint64_t seed) {
 void AnalysisServer::on_delivery(int rank, uint64_t seq,
                                  std::span<const SliceRecord> batch,
                                  double now) {
+  // Reject before anything is journaled: a frame for a rank outside the
+  // watermark table could never fold, and replay would skip it forever.
+  VS_CHECK_MSG(rank >= 0 && static_cast<size_t>(rank) < watermarks_.size(),
+               "delivery from unknown rank");
   std::lock_guard<std::mutex> lock(mu_);
   last_now_ = now;
   // The crash fires at a delivery boundary, before the triggering delivery

@@ -58,7 +58,7 @@ size_t ShardedAnalysisTier::checked(int shard) const {
 void ShardedAnalysisTier::on_delivery(int rank, uint64_t seq,
                                       std::span<const SliceRecord> batch,
                                       double now) {
-  VS_CHECK_MSG(rank >= 0, "delivery from negative rank");
+  VS_CHECK_MSG(rank >= 0 && rank < ranks_, "delivery from unknown rank");
   const size_t s = static_cast<size_t>(shard_of(rank));
   Shard& shard = *shards_[s];
   shard.server->on_delivery(rank, seq, batch, now);

@@ -85,23 +85,24 @@ namespace {
 // Cumulative over the process: records rescued by a BatchStage destructor
 // because flush() was never called. Monotonic; tests compare deltas.
 std::atomic<uint64_t> g_unflushed_records{0};
+
+// Upper bound on a staging buffer's pre-allocation: a stage with a huge
+// batch capacity still starts small and grows on demand.
+constexpr size_t kStageReserveRecords = 4096;
 }  // namespace
 
-BatchStage::BatchStage(Collector* collector, size_t capacity, size_t reserve)
-    : collector_(collector), capacity_(capacity), reserve_(reserve) {
+BatchStage::BatchStage(Collector* collector, size_t capacity)
+    : collector_(collector), capacity_(capacity) {
   VS_CHECK_MSG(capacity > 0, "batch capacity must be positive");
-  VS_CHECK_MSG(reserve > 0, "stage reserve cap must be positive");
-  buf_.reserve(std::min<size_t>(capacity, reserve_));
+  buf_.reserve(std::min(capacity, kStageReserveRecords));
 }
 
-BatchStage::BatchStage(BatchTransport& transport, int rank, size_t capacity,
-                       size_t reserve)
+BatchStage::BatchStage(BatchTransport& transport, int rank, size_t capacity)
     : collector_(nullptr), transport_(&transport), rank_(rank),
-      capacity_(capacity), reserve_(reserve) {
+      capacity_(capacity) {
   VS_CHECK_MSG(capacity > 0, "batch capacity must be positive");
-  VS_CHECK_MSG(reserve > 0, "stage reserve cap must be positive");
   VS_CHECK_MSG(rank >= 0, "transport mode needs the owning rank");
-  buf_.reserve(std::min<size_t>(capacity, reserve_));
+  buf_.reserve(std::min(capacity, kStageReserveRecords));
 }
 
 BatchStage::~BatchStage() {
@@ -126,7 +127,7 @@ void BatchStage::push(const SliceRecord& rec) {
   if (buf_.size() >= capacity_) flush();
 }
 
-void BatchStage::ship(const RecordBatch& batch) {
+void BatchStage::ship(std::span<const SliceRecord> batch) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Staging);
   VS_OBS_ONLY(if (obs::enabled()) {
     auto& inst = StageInstruments::get();
@@ -135,9 +136,10 @@ void BatchStage::ship(const RecordBatch& batch) {
   })
   if (transport_ != nullptr) {
     // The batch ships when its newest record completes; records accumulate
-    // in time order per rank, but scan the contiguous t_end column for the
-    // max to stay robust to ties (clamped at 0 as before SoA staging).
-    const double now = std::max(0.0, batch.max_t_end());
+    // in time order per rank, but take the max t_end to stay robust to
+    // ties, clamped at 0.
+    double now = 0.0;
+    for (const auto& rec : batch) now = std::max(now, rec.t_end);
     if (!transport_->ship(rank_, batch, now)) lost_records_ += batch.size();
     ++shipped_batches_;
   } else if (collector_ != nullptr) {
@@ -151,9 +153,9 @@ void BatchStage::flush() {
   // Detach the staged records before shipping: if ship() throws mid-way,
   // a second flush() (or the destructor's) must not ship them again —
   // flushing is idempotent per record, never at-least-once.
-  RecordBatch batch;
+  std::vector<SliceRecord> batch;
   std::swap(batch, buf_);
-  buf_.reserve(std::min<size_t>(capacity_, reserve_));
+  buf_.reserve(std::min(capacity_, kStageReserveRecords));
   ship(batch);
 }
 

@@ -46,24 +46,21 @@ class BatchTransport;
 /// Per-rank staging buffer: completed slices batch locally and ship to the
 /// collector only when `capacity` records accumulated, so the rank takes a
 /// shard lock once per batch instead of once per record (§5.4). Records
-/// stage in struct-of-arrays form (RecordBatch): the collector ingests the
-/// columns directly and the scoring kernels downstream iterate contiguous
-/// arrays. One per rank thread; not thread-safe — cross-thread contention
-/// exists only inside the collector's shards.
+/// stage as plain SliceRecords — the layout the collector, the transport,
+/// the journal and the detector fold all take — so a staged batch ships as
+/// one contiguous span with no conversion. One per rank thread; not
+/// thread-safe — cross-thread contention exists only inside the
+/// collector's shards.
 class BatchStage {
  public:
   /// `collector` may be null (records are then staged and discarded on
-  /// ship, useful for uninstrumented baselines and benchmarks). `reserve`
-  /// caps the staging buffer's pre-allocation
-  /// (RuntimeConfig::stage_reserve_records).
-  BatchStage(Collector* collector, size_t capacity,
-             size_t reserve = RuntimeConfig{}.stage_reserve_records);
+  /// ship, useful for uninstrumented baselines and benchmarks).
+  BatchStage(Collector* collector, size_t capacity);
 
   /// Transport mode: batches ship through the resilient transport as
   /// `rank`'s channel (sequenced, deduplicated, retried — see
   /// runtime/transport.hpp) instead of straight into a collector.
-  BatchStage(BatchTransport& transport, int rank, size_t capacity,
-             size_t reserve = RuntimeConfig{}.stage_reserve_records);
+  BatchStage(BatchTransport& transport, int rank, size_t capacity);
 
   /// Flushes: records staged at teardown are shipped, not dropped. The
   /// count of records rescued this way is surfaced process-wide through
@@ -80,7 +77,6 @@ class BatchStage {
   void flush();
 
   size_t staged() const { return buf_.size(); }
-  size_t reserve_cap() const { return reserve_; }
   uint64_t shipped_batches() const { return shipped_batches_; }
   /// Records the transport refused permanently (retries exhausted or the
   /// rank's transport was killed). Always 0 in direct-collector mode.
@@ -92,14 +88,13 @@ class BatchStage {
   static uint64_t unflushed_records();
 
  private:
-  void ship(const RecordBatch& batch);
+  void ship(std::span<const SliceRecord> batch);
 
   Collector* collector_;
   BatchTransport* transport_ = nullptr;
   int rank_ = -1;
   size_t capacity_;
-  size_t reserve_;
-  RecordBatch buf_;  ///< SoA staging columns
+  std::vector<SliceRecord> buf_;
   uint64_t shipped_batches_ = 0;
   uint64_t lost_records_ = 0;
 };

@@ -75,26 +75,14 @@ int StreamingDetector::bucket_of(double time) const {
 }
 
 void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
-  on_batch(RecordBatch::from_aos(batch));
-}
-
-void StreamingDetector::on_batch(const RecordBatch& batch) {
-  const size_t n = batch.size();
-  if (n == 0) return;
+  if (batch.empty()) return;
   VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
   VS_OBS_ONLY(if (obs::enabled()) {
     auto& inst = StreamingInstruments::get();
     inst.batches.add();
-    inst.records.add(n);
+    inst.records.add(batch.size());
   })
   std::lock_guard<std::mutex> lock(mu_);
-  const int32_t* ids = batch.sensor_id.data();
-  const int32_t* rk = batch.rank.data();
-  const float* metric = batch.metric.data();
-  const double* avg = batch.avg_duration.data();
-  const double* t_begin = batch.t_begin.data();
-  const double* t_end = batch.t_end.data();
-  const uint32_t* count = batch.count.data();
   const bool any_stale = !stale_.empty();
 
   // Map-iterator cache: a staged batch is one rank's slices of few
@@ -106,28 +94,28 @@ void StreamingDetector::on_batch(const RecordBatch& batch) {
   int cached_sensor = -1, cached_group = 0, cached_rank = 0;
   bool have_std = false, have_rank = false;
 
-  for (size_t i = 0; i < n; ++i) {
-    const int sensor_id = ids[i];
+  for (const SliceRecord& rec : batch) {
+    const int sensor_id = rec.sensor_id;
     VS_CHECK_MSG(sensor_id >= 0 &&
                      static_cast<size_t>(sensor_id) < sensors_.size(),
                  "record references unknown sensor");
     observed_ += 1;
-    const int rank = rk[i];
+    const int rank = rec.rank;
     // Graceful degradation: a straggler from a rank already declared stale
     // must not reopen that rank's history.
     if (any_stale && stale_.count(rank) != 0) {
       ++stale_records_;
       continue;
     }
-    const double a = avg[i];
+    const double a = rec.avg_duration;
     // A zero/near-zero duration is a broken measurement, not the fastest
     // slice: it must not ratchet the running minima down to 0 and zero
-    // every later score (is_degenerate, on the contiguous column).
+    // every later score (is_degenerate).
     if (!(a >= kMinStandardTime)) {
       ++degenerate_records_;
       continue;
     }
-    const int g = group_of(cfg_, metric[i]);
+    const int g = group_of(cfg_, rec.metric);
     sensor_records_[static_cast<size_t>(sensor_id)] += 1;
 
     // Running minima. A record that lowers a standard normalizes against
@@ -167,7 +155,7 @@ void StreamingDetector::on_batch(const RecordBatch& batch) {
       VS_OBS_ONLY(
           if (obs::enabled()) StreamingInstruments::get().inter_flags.add();)
       if (hooks_) {
-        emit_flag(hooks_, t_end[i], rank, sensor_id, g, inter_norm,
+        emit_flag(hooks_, rec.t_end, rank, sensor_id, g, inter_norm,
                   std_it->second, "inter");
       }
     }
@@ -176,7 +164,7 @@ void StreamingDetector::on_batch(const RecordBatch& batch) {
       VS_OBS_ONLY(
           if (obs::enabled()) StreamingInstruments::get().intra_flags.add();)
       if (hooks_) {
-        emit_flag(hooks_, t_end[i], rank, sensor_id, g, intra_norm,
+        emit_flag(hooks_, rec.t_end, rank, sensor_id, g, intra_norm,
                   rank_it->second, "intra");
       }
     }
@@ -188,12 +176,12 @@ void StreamingDetector::on_batch(const RecordBatch& batch) {
     st.mean += delta / static_cast<double>(st.count);
     st.m2 += delta * (inter_norm - st.mean);
 
-    last_[{sensor_id, rank}] = LastSlice{t_end[i], a, inter_norm};
+    last_[{sensor_id, rank}] = LastSlice{rec.t_end, a, inter_norm};
 
     if (rank >= 0 && rank < ranks_) {
-      const double mid = 0.5 * (t_begin[i] + t_end[i]);
+      const double mid = 0.5 * (rec.t_begin + rec.t_end);
       CellSums& cell = cells_[{sensor_id, g, rank, bucket_of(mid)}];
-      const auto weight = static_cast<double>(count[i]);
+      const auto weight = static_cast<double>(rec.count);
       cell.weight_over_avg += weight / a;
       cell.weight += weight;
     }

@@ -55,17 +55,11 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   StreamingDetector(DetectorConfig cfg, std::vector<SensorInfo> sensors,
                     int ranks, double run_time);
 
-  /// Fold one AoS batch: converts to struct-of-arrays and runs the one
-  /// fold below. Thread-safe; O(batch) work.
+  /// The fold: one batch, in sequential arrival order. Thread-safe;
+  /// O(batch) work. The standard-time map lookups are cached across runs
+  /// of records sharing one (sensor, group, rank) — the common shape of a
+  /// staged batch, which holds one rank's slices.
   void on_batch(std::span<const SliceRecord> batch) override;
-  void observe(std::span<const SliceRecord> batch) { on_batch(batch); }
-
-  /// The fold — what the collector forwards on the staging hot path.
-  /// Records fold in sequential arrival order; the scans run over
-  /// contiguous columns and the standard-time map lookups are cached
-  /// across runs of records sharing one (sensor, group, rank) — the common
-  /// shape of a staged batch, which holds one rank's slices.
-  void on_batch(const RecordBatch& batch) override;
 
   /// Welford running statistics over normalized performance, per sensor.
   /// Normalization uses the standard known when each record arrived.

@@ -118,12 +118,6 @@ void BatchTransport::arrive(int rank, uint64_t seq,
   }
 }
 
-bool BatchTransport::ship(int rank, const RecordBatch& batch, double now) {
-  // One gather from the staged columns to the AoS wire form, at the
-  // transport boundary.
-  return ship(rank, std::span<const SliceRecord>(batch.to_aos()), now);
-}
-
 bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
                           double now) {
   VS_CHECK_MSG(rank >= 0 && static_cast<size_t>(rank) < channels_.size(),

@@ -33,7 +33,6 @@
 
 #include "obs/health.hpp"
 #include "runtime/collector.hpp"
-#include "runtime/record_batch.hpp"
 #include "runtime/types.hpp"
 
 namespace vsensor::rt {
@@ -148,10 +147,6 @@ class BatchTransport : public obs::HealthSource {
   /// batch was delivered (possibly deferred behind later deliveries when
   /// the fault model delays it). Thread-safe across ranks.
   bool ship(int rank, std::span<const SliceRecord> batch, double now);
-
-  /// Same, from staged struct-of-arrays columns. The gather to the AoS
-  /// wire form happens here, once, at the transport boundary.
-  bool ship(int rank, const RecordBatch& batch, double now);
 
   /// Deliver every batch still held in the delay queue (end of run; the
   /// wire is always drained before analysis). Idempotent and re-entrancy

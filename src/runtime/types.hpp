@@ -71,11 +71,6 @@ struct RuntimeConfig {
   uint64_t disable_after = 64;
   /// Records buffered locally before a batched transfer to the server (§5.4).
   size_t batch_records = 64;
-  /// Upper bound on the staging buffer's *pre-allocated* capacity: a stage
-  /// with a huge batch_records bound still starts small and grows on
-  /// demand. Hoisted from a magic constant scattered through the staging
-  /// code; validated (> 0) by BatchStage.
-  size_t stage_reserve_records = 4096;
   /// Intra-process on-line detection: a slice whose normalized performance
   /// (standard / current) falls below this is flagged locally (§5.3).
   double local_variance_threshold = 0.7;

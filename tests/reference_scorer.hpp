@@ -4,8 +4,7 @@
 // StreamingDetector fold.
 //
 // One plain per-record loop, in record order, with none of the engine's
-// machinery (no struct-of-arrays, no standard-free cell sums, no iterator
-// caches):
+// machinery (no standard-free cell sums, no iterator caches):
 //  * a std::map minimum per (sensor, group), skipping degenerate records;
 //  * the min_records cut per sensor;
 //  * accumulate(std/avg, count) straight into the matrices;

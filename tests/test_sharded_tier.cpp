@@ -14,9 +14,11 @@
 
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
+#include "runtime/journal.hpp"
 #include "runtime/server.hpp"
 #include "runtime/sharded_tier.hpp"
 #include "runtime/streaming_detector.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "workloads/scenarios.hpp"
 #include "workloads/workload.hpp"
@@ -205,8 +207,8 @@ TEST(ShardedTier, MergeSnapshotsCombinesDisjointRankPartitions) {
 
   const auto stream = make_stream(/*seed=*/41, ranks, T);
   for (const auto& d : stream) {
-    whole.observe(d.records);
-    (d.rank % 2 == 0 ? even : odd).observe(d.records);
+    whole.on_batch(d.records);
+    (d.rank % 2 == 0 ? even : odd).on_batch(d.records);
   }
   whole.mark_stale(3);
   odd.mark_stale(3);
@@ -380,6 +382,48 @@ TEST(ShardedTier, RoutesByRankModuloAndSuffixesShardPaths) {
         suffix);
   }
   EXPECT_EQ(total, tier.total_routed_records());
+}
+
+// ------------------------------------------------- out-of-range ranks
+
+/// Batch frames the journal at `path` holds for `rank`.
+size_t batch_frames_for(const std::string& path, int rank) {
+  size_t n = 0;
+  for (const auto& frame : load_journal(path).frames) {
+    if (frame.kind == JournalFrameKind::Batch && frame.rank == rank) ++n;
+  }
+  return n;
+}
+
+// Regression: a delivery from a rank outside the detector's rank table is
+// rejected before it is journaled. It used to be journaled first and then
+// index the watermark table out of bounds, leaving a frame replay could
+// never fold.
+TEST(ShardedTier, OutOfRangeRankDeliveryIsRejectedBeforeJournaling) {
+  const int ranks = 2;
+  const double T = 0.05;
+  const std::vector<SliceRecord> ok{make_record(0, 0, 0.0, 2e-4)};
+  const std::vector<SliceRecord> bad{make_record(0, ranks, 0.0, 2e-4)};
+
+  ServerRig rig("oob_server", two_sensors(), ranks, T, tight_cfg());
+  rig.server.on_delivery(0, 0, ok, 1e-3);
+  EXPECT_THROW(rig.server.on_delivery(ranks, 0, bad, 2e-3), Error);
+  EXPECT_THROW(rig.server.on_delivery(-1, 0, bad, 2e-3), Error);
+  const std::string server_wal = rig.server.config().journal_path;
+  EXPECT_EQ(batch_frames_for(server_wal, 0), 1u);
+  EXPECT_EQ(batch_frames_for(server_wal, ranks), 0u);
+  EXPECT_EQ(batch_frames_for(server_wal, -1), 0u);
+  EXPECT_EQ(rig.collector.ingested_records(), 1u);
+
+  ShardedAnalysisTier tier(make_tier_cfg("oob_tier", 2, tight_cfg()),
+                           two_sensors(), ranks, T);
+  tier.on_delivery(0, 0, ok, 1e-3);
+  EXPECT_THROW(tier.on_delivery(ranks, 0, bad, 2e-3), Error);
+  EXPECT_EQ(tier.total_routed_records(), 1u);
+  for (int k = 0; k < tier.shard_count(); ++k) {
+    EXPECT_EQ(batch_frames_for(tier.server(k).config().journal_path, ranks), 0u)
+        << "shard " << k;
+  }
 }
 
 // --------------------------------------- mini-app replays, N in {2,4,8}

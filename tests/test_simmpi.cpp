@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "simmpi/comm.hpp"
 #include "simmpi/engine.hpp"
@@ -107,15 +109,22 @@ TEST(Engine, MessagesMatchInFifoOrder) {
 }
 
 TEST(Engine, MismatchedSizesThrow) {
-  EXPECT_THROW(run(small(2),
-                   [](Comm& comm) {
-                     if (comm.rank() == 0) {
-                       comm.send(1, 1, 100);
-                     } else {
-                       comm.recv(0, 1, 999);
-                     }
-                   }),
-               Error);
+  // Either side may post first; the mismatch is caught both ways. The
+  // delayed sender makes the receive post first in the second run.
+  for (const auto send_delay : {std::chrono::milliseconds(0),
+                                std::chrono::milliseconds(20)}) {
+    EXPECT_THROW(run(small(2),
+                     [send_delay](Comm& comm) {
+                       if (comm.rank() == 0) {
+                         std::this_thread::sleep_for(send_delay);
+                         comm.send(1, 1, 100);
+                       } else {
+                         comm.recv(0, 1, 999);
+                       }
+                     }),
+                 Error)
+        << "send delay " << send_delay.count() << " ms";
+  }
 }
 
 TEST(Engine, BarrierSynchronizesClocks) {

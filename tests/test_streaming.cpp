@@ -49,7 +49,7 @@ std::vector<SliceRecord> fig13_records() {
 void feed_in_batches(StreamingDetector& streaming,
                      std::span<const SliceRecord> records, size_t batch_len) {
   for (size_t i = 0; i < records.size(); i += batch_len) {
-    streaming.observe(records.subspan(i, std::min(batch_len, records.size() - i)));
+    streaming.on_batch(records.subspan(i, std::min(batch_len, records.size() - i)));
   }
 }
 
@@ -156,6 +156,30 @@ TEST(StreamingDetector, Fig14WorkloadRunMatchesReference) {
                                run.makespan, streaming.finalize());
 }
 
+// The batch front end and the engine it wraps, against the naive reference
+// scorer on a mini-app run: cells and severities to 1e-12, event bounds and
+// the flagged list exact.
+TEST(Detector, FrontEndMatchesReferenceOnMiniApp) {
+  auto workload = workloads::make_workload("CG");
+  workloads::RunOptions opts;
+  opts.params.iterations = 4;
+  opts.params.scale = 0.05;
+  Collector collector;
+  auto cfg = workloads::baseline_config(8);
+  cfg.ranks_per_node = 4;
+  const auto run =
+      workloads::run_workload(*workload, cfg, opts, &collector);
+  const auto records = collector.take_records();
+  ASSERT_FALSE(records.empty());
+
+  const DetectorConfig dcfg;
+  const auto sensors = workload->sensors();
+  StreamingDetector streaming(dcfg, sensors, 8, run.makespan);
+  streaming.on_batch(records);
+  reference::expect_equivalent(records, sensors, dcfg, 8, run.makespan,
+                               streaming.finalize());
+}
+
 TEST(StreamingDetector, AttachedToCollectorUnderConcurrentIngest) {
   // Live wiring: the collector forwards every batch to the streaming
   // detector while four rank threads push concurrently; the final regions
@@ -197,7 +221,7 @@ TEST(StreamingDetector, WelfordStatsMatchTwoPassComputation) {
   for (int i = 0; i < 3; ++i) {
     records.push_back(make_record(0, 0, i * 0.1, avgs[i]));
   }
-  streaming.observe(records);
+  streaming.on_batch(records);
 
   const double normalized[3] = {1.0, 0.5, 0.25};
   double mean = 0.0;
@@ -242,7 +266,7 @@ TEST(StreamingDetector, ZeroDurationRecordsAreQuarantined) {
 TEST(StreamingDetector, RejectsUnknownSensor) {
   StreamingDetector streaming({}, one_sensor(), 1, 1.0);
   std::vector<SliceRecord> batch{make_record(7, 0, 0.0, 1e-6)};
-  EXPECT_THROW(streaming.observe(batch), Error);
+  EXPECT_THROW(streaming.on_batch(batch), Error);
 }
 
 // The engine runs the same config checks as the batch front end: a

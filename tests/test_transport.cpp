@@ -531,30 +531,44 @@ TEST(Transport, BatchStageDestructorFlushesStagedRecords) {
   EXPECT_EQ(BatchStage::unflushed_records() - before, 2u);
 }
 
+/// Records every delivery's arrival time and size.
+class RecordingSink final : public DeliverySink {
+ public:
+  void on_delivery(int /*rank*/, uint64_t /*seq*/,
+                   std::span<const SliceRecord> batch, double now) override {
+    arrivals.push_back(now);
+    sizes.push_back(batch.size());
+  }
+  std::vector<double> arrivals;
+  std::vector<size_t> sizes;
+};
+
+// A staged batch ships at its latest slice end, whatever the record order,
+// and never before virtual time 0.
+TEST(Transport, BatchStageShipsAtMaxRecordEndClampedAtZero) {
+  RecordingSink sink;
+  BatchTransport transport(&sink, 1);
+  BatchStage stage(transport, /*rank=*/0, /*capacity=*/3);
+  const double t_ends[] = {0.5, 2.0, 1.25,    // unordered: ships at 2.0
+                           0.75, -4.0, 0.5,   // one negative: ships at 0.75
+                           -3.0, -1.0, -2.0};  // all negative: ships at 0
+  for (const double t_end : t_ends) {
+    SliceRecord rec = make_record(0, 0, 0.0, 2.0);
+    rec.t_end = t_end;
+    stage.push(rec);
+  }
+  EXPECT_EQ(stage.staged(), 0u);
+  EXPECT_EQ(sink.arrivals, (std::vector<double>{2.0, 0.75, 0.0}));
+  EXPECT_EQ(sink.sizes, (std::vector<size_t>{3, 3, 3}));
+}
+
 // ---------------------------------------------------------------------------
-// Drop conservation and the struct-of-arrays ship path
+// Drop conservation
 // ---------------------------------------------------------------------------
 
 /// Each shipped batch is accounted exactly once: delivered or lost.
 void expect_conserved(const RankChannelStats& s) {
   EXPECT_EQ(s.batches_sent, s.batches_delivered + s.batches_lost);
-}
-
-TEST(Transport, SoaShipGathersOnceAndRoundTrips) {
-  Collector collector;
-  BatchTransport transport(&collector, 1);
-
-  RecordBatch batch;
-  batch.push_back(make_record(0, 0, 0.0, 2.0));
-  batch.push_back(make_record(0, 0, 1e-3, 3.0));
-  EXPECT_TRUE(transport.ship(0, batch, 1e-3));
-  transport.drain();
-
-  const auto records = collector.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_TRUE(same_record(records[0], batch.get(0)));
-  EXPECT_TRUE(same_record(records[1], batch.get(1)));
-  expect_conserved(transport.rank_stats(0));
 }
 
 TEST(Transport, UnrecoverableWireDropsStillConserve) {
@@ -711,16 +725,16 @@ TEST(Streaming, MidRunMarkStaleExcludesStragglers) {
     const double t = 1e-3 * i;
     const std::vector<SliceRecord> batch{make_record(0, 0, t, 2.0),
                                          make_record(0, 1, t, 2.5)};
-    streaming.observe(batch);
+    streaming.on_batch(batch);
     kept.insert(kept.end(), batch.begin(), batch.end());
   }
   streaming.mark_stale(1);
   for (int i = 10; i < 20; ++i) {
     const double t = 1e-3 * i;
-    streaming.observe({{make_record(0, 0, t, 2.0)}});
+    streaming.on_batch({{make_record(0, 0, t, 2.0)}});
     kept.push_back(make_record(0, 0, t, 2.0));
     // Stragglers from the stale rank are counted, not folded.
-    streaming.observe({{make_record(0, 1, t, 0.5)}});
+    streaming.on_batch({{make_record(0, 1, t, 0.5)}});
   }
 
   EXPECT_EQ(streaming.stale_ranks(), std::vector<int>{1});
