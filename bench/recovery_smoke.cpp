@@ -1,10 +1,11 @@
-// Crash-recovery smoke run: drives a full workload through the
-// crash-tolerant analysis server twice — once uninterrupted, once with
+// Crash-recovery smoke run: drives a full workload through a one-shard
+// crash-tolerant analysis tier twice — once uninterrupted, once with
 // server crashes injected mid-run on top of transport drops, duplicates,
 // and delays — and checks that the recovered run's analysis equals the
 // uninterrupted one's. Also reports what durability costs: journal bytes
 // written, checkpoint cadence, and per-recovery replay latency. CI runs
-// this binary and archives the journal and checkpoint it leaves behind.
+// this binary and archives the shard-0 journal and checkpoint it leaves
+// behind ("recovery_smoke_<tag>.journal.shard0", ".ckpt.shard0").
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -15,8 +16,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/journal.hpp"
-#include "runtime/server.hpp"
-#include "runtime/streaming_detector.hpp"
+#include "runtime/sharded_tier.hpp"
 #include "simmpi/faults.hpp"
 #include "support/error.hpp"
 #include "workloads/scenarios.hpp"
@@ -71,30 +71,28 @@ RunOutput run_once(const workloads::Workload& workload, double makespan,
   cfg.ranks_per_node = 4;
   cfg.transport_faults = std::make_shared<simmpi::FaultInjector>(fcfg);
 
-  rt::DetectorConfig dcfg;
-  dcfg.matrix_resolution = makespan / 25.0;
-  rt::Collector collector;
-  rt::StreamingDetector streaming(dcfg, workload.sensors(), kRanks, makespan);
-  collector.attach_sink(&streaming);
-
-  rt::ServerConfig scfg;
-  scfg.journal_path = "recovery_smoke_" + tag + ".journal";
-  scfg.checkpoint_path = "recovery_smoke_" + tag + ".ckpt";
-  scfg.checkpoint_every_batches = 64;
-  std::remove(scfg.checkpoint_path.c_str());
-  rt::AnalysisServer server(scfg, &collector, &streaming);
+  rt::ShardedTierConfig tcfg;
+  tcfg.journal_path = "recovery_smoke_" + tag + ".journal";
+  tcfg.checkpoint_path = "recovery_smoke_" + tag + ".ckpt";
+  tcfg.checkpoint_every_batches = 64;
+  tcfg.detector.matrix_resolution = makespan / 25.0;
+  rt::ShardedAnalysisTier tier(tcfg, workload.sensors(), kRanks, makespan);
+  const rt::AnalysisServer& server = tier.server(0);
+  std::remove(server.config().checkpoint_path.c_str());
   std::remove(server.flight_path().c_str());
-  if (events != nullptr) server.set_run_identity(identity());
+  if (events != nullptr) tier.set_run_identity(identity());
 
   auto opts = options();
-  opts.server = &server;
+  opts.analysis_tier = &tier;
   opts.events = events;
+  rt::Collector collector;
   workloads::run_workload(workload, cfg, opts, &collector);
-  server.checkpoint();  // final durable state for the artifact upload
+  tier.server(0).checkpoint();  // final durable state for the artifact upload
 
-  RunOutput out{streaming.finalize(),
-                collector.counters().ingested,
-                collector.counters().batches,
+  const rt::DeliveryCounters delivered = server.delivered();
+  RunOutput out{tier.finalize(),
+                delivered.records,
+                delivered.batches,
                 server.crashes(),
                 static_cast<uint64_t>(server.recoveries().size()),
                 server.journal()->committed_bytes(),

@@ -40,16 +40,21 @@ void put(std::string& out, T v) {
 // fixed-width primitive, so sizes are exact and the reader can validate
 // counts against the remaining byte budget before allocating.
 
-void put_counters(std::string& out, const Collector::Counters& c) {
-  put(out, c.ingested);
-  put(out, c.dropped);
-  put(out, c.taken);
+// Five u64 slots: records, dropped, taken, bytes, batches. The dropped and
+// taken slots counted a server-side record ring that no longer exists;
+// they are written as 0 and ignored on load, so the layout is unchanged
+// and older checkpoints still parse.
+void put_counters(std::string& out, const DeliveryCounters& c) {
+  put(out, c.records);
+  put(out, uint64_t{0});
+  put(out, uint64_t{0});
   put(out, c.bytes);
   put(out, c.batches);
 }
 
-bool read_counters(ByteReader& in, Collector::Counters* c) {
-  return in.read(&c->ingested) && in.read(&c->dropped) && in.read(&c->taken) &&
+bool read_counters(ByteReader& in, DeliveryCounters* c) {
+  uint64_t unused = 0;
+  return in.read(&c->records) && in.read(&unused) && in.read(&unused) &&
          in.read(&c->bytes) && in.read(&c->batches);
 }
 
@@ -58,7 +63,7 @@ std::string encode_payload(const ServerCheckpoint& ckpt) {
   put(out, ckpt.sensor_count);
   put(out, ckpt.ranks);
   put(out, ckpt.run_time);
-  put_counters(out, ckpt.collector);
+  put_counters(out, ckpt.delivered);
 
   put(out, static_cast<uint64_t>(ckpt.watermarks.size()));
   for (const auto& wm : ckpt.watermarks) {
@@ -125,7 +130,7 @@ bool plausible(const ByteReader& in, uint64_t count, size_t entry_bytes) {
 bool parse_payload(const char* data, size_t len, ServerCheckpoint* ckpt) {
   ByteReader in{data, len};
   if (!in.read(&ckpt->sensor_count) || !in.read(&ckpt->ranks) ||
-      !in.read(&ckpt->run_time) || !read_counters(in, &ckpt->collector)) {
+      !in.read(&ckpt->run_time) || !read_counters(in, &ckpt->delivered)) {
     return false;
   }
 

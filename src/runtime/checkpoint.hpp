@@ -5,8 +5,8 @@
 //  * the complete StreamingDetector state (running minima, Welford
 //    accumulators, standard-free matrix cell sums, per-rank last slices,
 //    stale set, flag counters) — every double carried byte-exact;
-//  * the Collector's cumulative accounting counters, so ingest/byte/batch
-//    accounting stays continuous across the restart;
+//  * the server's cumulative delivery counters (records, bytes, batches),
+//    so delivery accounting stays continuous across the restart;
 //  * the per-rank delivery watermarks (SeqTracker), which make replaying a
 //    journal suffix that overlaps the checkpoint idempotent — a batch at
 //    or below its rank's watermark is skipped, never double-counted;
@@ -27,11 +27,19 @@
 #include <vector>
 
 #include "io/vfs.hpp"
-#include "runtime/collector.hpp"
 #include "runtime/streaming_detector.hpp"
 #include "runtime/transport.hpp"
 
 namespace vsensor::rt {
+
+/// Cumulative delivery accounting of one analysis server. Checkpointed, so
+/// a recovered server restores these and replayed batches advance them
+/// exactly as the originals did — no delivery is counted twice.
+struct DeliveryCounters {
+  uint64_t records = 0;
+  uint64_t bytes = 0;
+  uint64_t batches = 0;
+};
 
 struct ServerCheckpoint {
   // Shape sanity: restoring into a server with a different sensor table,
@@ -40,7 +48,7 @@ struct ServerCheckpoint {
   int32_t ranks = 0;
   double run_time = 0.0;
 
-  Collector::Counters collector;
+  DeliveryCounters delivered;
   /// Per-rank delivery watermarks at checkpoint time (journal-replay dedup).
   std::vector<SeqTracker> watermarks;
   StreamingDetector::Snapshot detector;

@@ -153,30 +153,6 @@ std::vector<SliceRecord> Collector::take_records() {
   return all;
 }
 
-Collector::Counters Collector::counters() const {
-  return Counters{ingested_.load(std::memory_order_relaxed),
-                  dropped_.load(std::memory_order_relaxed),
-                  taken_.load(std::memory_order_relaxed),
-                  bytes_.load(std::memory_order_relaxed),
-                  batches_.load(std::memory_order_relaxed)};
-}
-
-void Collector::restore_counters(const Counters& c) {
-  ingested_.store(c.ingested, std::memory_order_relaxed);
-  dropped_.store(c.dropped, std::memory_order_relaxed);
-  taken_.store(c.taken, std::memory_order_relaxed);
-  bytes_.store(c.bytes, std::memory_order_relaxed);
-  batches_.store(c.batches, std::memory_order_relaxed);
-}
-
-void Collector::reset() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->store.clear();
-  }
-  restore_counters(Counters{});
-}
-
 uint64_t Collector::record_count() const {
   return ingested_.load(std::memory_order_relaxed) -
          dropped_.load(std::memory_order_relaxed) -

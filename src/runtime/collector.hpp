@@ -1,10 +1,13 @@
-// The analysis server (paper §5.4).
+// Offline record store (paper §5.4's batched slice records, kept).
 //
-// The paper dedicates one extra process to inter-process analysis; ranks
-// buffer slice records locally and periodically push them in batches. Here
-// the server is an in-process thread-safe object ingesting concurrently from
-// all rank threads; the wire volume of every batch is accounted so the
-// trace-volume comparison against tracing tools (§6.4) is faithful.
+// Ranks buffer slice records locally and periodically push them in
+// batches. The Collector is the in-process thread-safe store those batches
+// land in when a run keeps its records — for batch analysis, session files
+// (vsensor-cc --save-records, vsensor-report), and tier-less runs. The
+// crash-tolerant analysis server and tier keep no store: they fold each
+// delivery straight into their detector. The wire volume of every batch is
+// accounted so the trace-volume comparison against tracing tools (§6.4) is
+// faithful.
 //
 // Storage is sharded by sensor id: each shard has its own mutex and a
 // bounded ring-buffer store, so concurrent ranks pushing records of
@@ -50,8 +53,9 @@ class BatchSink {
 /// Server-side consumer of unique transport deliveries, with the transport
 /// metadata (origin rank, send-side sequence number, virtual arrival time)
 /// intact. BatchTransport delivers into one of these: the Collector just
-/// ingests the batch, the crash-tolerant AnalysisServer journals every
-/// batch as (rank, seq, records) before folding it.
+/// ingests the batch, the crash-tolerant AnalysisServer (and the sharded
+/// tier routing to it) journals every batch as (rank, seq, records) before
+/// folding it.
 class DeliverySink {
  public:
   virtual ~DeliverySink() = default;
@@ -120,25 +124,6 @@ class Collector : public DeliverySink, public obs::HealthSource {
   /// Move all retained records out, leaving the shards empty. Cumulative
   /// counters (ingested/bytes/batches/dropped) are unaffected.
   std::vector<SliceRecord> take_records();
-
-  /// Cumulative accounting counters as one value, for checkpointing: a
-  /// crash-recovered server restores these so ingest/byte/batch accounting
-  /// stays continuous across the restart (replayed journal batches then
-  /// advance them exactly as the originals did).
-  struct Counters {
-    uint64_t ingested = 0;
-    uint64_t dropped = 0;
-    uint64_t taken = 0;
-    uint64_t bytes = 0;
-    uint64_t batches = 0;
-  };
-  Counters counters() const;
-  void restore_counters(const Counters& c);
-
-  /// Crash simulation: drop every retained record and zero all counters,
-  /// keeping the sensor table and attached sink. The server's recovery
-  /// path then restores checkpointed counters and replays the journal.
-  void reset();
 
   /// Records currently retained (ingested minus dropped minus taken).
   uint64_t record_count() const;

@@ -59,7 +59,7 @@ bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
   frame->kind = static_cast<JournalFrameKind>(kind);
   // The payload length must match the declared record count exactly: a
   // frame with trailing or missing bytes is corrupt, not "close enough".
-  const size_t want = 1 + 4 + 8 + 4 + size_t{count} * kRecordWireBytes;
+  const size_t want = journal_frame_bytes(count) - kFrameHeaderBytes;
   if (want != len) return false;
   // SliceRecord's in-memory layout IS the wire layout (static_asserts in
   // runtime/types.hpp pin size and trivial copyability), so the whole
@@ -74,24 +74,31 @@ bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
 
 }  // namespace
 
-std::string encode_journal_frame(const JournalFrame& frame) {
-  std::string payload;
-  payload.reserve(17 + frame.records.size() * kRecordWireBytes);
-  put(payload, static_cast<uint8_t>(frame.kind));
-  put(payload, frame.rank);
-  put(payload, frame.seq);
-  put(payload, static_cast<uint32_t>(frame.records.size()));
+void append_journal_frame(std::string& out, JournalFrameKind kind,
+                          int32_t rank, uint64_t seq,
+                          std::span<const SliceRecord> records) {
+  const size_t frame_at = out.size();
+  const size_t payload_len =
+      journal_frame_bytes(records.size()) - kFrameHeaderBytes;
+  put(out, static_cast<uint32_t>(payload_len));
+  put(out, uint32_t{0});  // CRC, patched once the payload is in place
+  put(out, static_cast<uint8_t>(kind));
+  put(out, rank);
+  put(out, seq);
+  put(out, static_cast<uint32_t>(records.size()));
   // Bulk append: memory layout == wire layout (see parse_payload).
-  if (!frame.records.empty()) {
-    payload.append(reinterpret_cast<const char*>(frame.records.data()),
-                   frame.records.size() * kRecordWireBytes);
+  if (!records.empty()) {
+    out.append(reinterpret_cast<const char*>(records.data()),
+               records.size() * kRecordWireBytes);
   }
+  const uint32_t crc =
+      crc32(out.data() + frame_at + kFrameHeaderBytes, payload_len);
+  std::memcpy(out.data() + frame_at + 4, &crc, sizeof(crc));
+}
 
+std::string encode_journal_frame(const JournalFrame& frame) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  put(out, static_cast<uint32_t>(payload.size()));
-  put(out, crc32(payload));
-  out += payload;
+  append_journal_frame(out, frame.kind, frame.rank, frame.seq, frame.records);
   return out;
 }
 
@@ -155,17 +162,19 @@ bool JournalWriter::open_truncated() {
   return true;
 }
 
-bool JournalWriter::append(const JournalFrame& frame) {
+bool JournalWriter::append(JournalFrameKind kind, int32_t rank, uint64_t seq,
+                           std::span<const SliceRecord> records) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
-  const std::string encoded = encode_journal_frame(frame);
-  buf_ += encoded;
+  const size_t before = buf_.size();
+  append_journal_frame(buf_, kind, rank, seq, records);
+  const size_t encoded = buf_.size() - before;
   ++appended_frames_;
   ++frames_since_commit_;
-  appended_bytes_ += encoded.size();
+  appended_bytes_ += encoded;
   VS_OBS_ONLY(if (obs::enabled()) {
     auto& inst = JournalInstruments::get();
     inst.frames.add();
-    inst.bytes.add(encoded.size());
+    inst.bytes.add(encoded);
   })
   if (buf_.size() >= cfg_.buffer_bytes ||
       frames_since_commit_ >= cfg_.commit_every_frames) {

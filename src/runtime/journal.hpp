@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,20 @@ struct JournalFrame {
   uint64_t seq = 0;  ///< transport sequence number (Batch frames)
   std::vector<SliceRecord> records;
 };
+
+/// Encoded size of a frame carrying `records` records, computed without
+/// encoding it: 8 header bytes (len, crc), 17 payload header bytes (kind,
+/// rank, seq, count), then the records.
+constexpr size_t journal_frame_bytes(size_t records) {
+  return 8 + 17 + records * kRecordWireBytes;
+}
+
+/// The one frame encoder: append a frame (length + CRC + payload) to `out`,
+/// records straight from the caller's span. The writer encodes into its
+/// buffer with it; every other serialization goes through it too.
+void append_journal_frame(std::string& out, JournalFrameKind kind,
+                          int32_t rank, uint64_t seq,
+                          std::span<const SliceRecord> records);
 
 /// Serialize one frame exactly as the writer appends it (header + CRC +
 /// payload). Exposed so tests and the crash injector can construct torn
@@ -98,11 +113,16 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Append one frame (buffered; commits per the config). Returns false
-  /// when an auto-commit drain failed — the frame stays buffered, so a
-  /// later commit() retry can still land it. Not thread-safe: the owning
-  /// server serializes appends with its ingest order.
-  bool append(const JournalFrame& frame);
+  /// Append one frame, encoded straight into the buffer (commits per the
+  /// config). Returns false when an auto-commit drain failed — the frame
+  /// stays buffered, so a later commit() retry can still land it. Not
+  /// thread-safe: the owning server serializes appends with its ingest
+  /// order.
+  bool append(JournalFrameKind kind, int32_t rank, uint64_t seq,
+              std::span<const SliceRecord> records);
+  bool append(const JournalFrame& frame) {
+    return append(frame.kind, frame.rank, frame.seq, frame.records);
+  }
 
   /// Drain the user-space buffer to the file (no fsync). Returns false on
   /// failure; partial progress (a short write) is accounted — the written

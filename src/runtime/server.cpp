@@ -32,14 +32,9 @@ struct ServerInstruments {
 }  // namespace
 #endif
 
-AnalysisServer::AnalysisServer(ServerConfig cfg, Collector* collector,
-                               StreamingDetector* detector)
-    : cfg_(std::move(cfg)),
-      collector_(collector),
-      detector_(detector),
-      flight_(cfg_.flight_capacity) {
-  VS_CHECK_MSG(collector_ != nullptr && detector_ != nullptr,
-               "server needs a collector and a detector");
+AnalysisServer::AnalysisServer(ServerConfig cfg, StreamingDetector* detector)
+    : cfg_(std::move(cfg)), detector_(detector), flight_(cfg_.flight_capacity) {
+  VS_CHECK_MSG(detector_ != nullptr, "server needs a detector");
   VS_CHECK_MSG(!cfg_.journal_path.empty() && !cfg_.checkpoint_path.empty(),
                "server needs journal and checkpoint paths");
   watermarks_.resize(static_cast<size_t>(detector_->ranks()));
@@ -60,11 +55,12 @@ void AnalysisServer::set_crash_plan(std::vector<double> times, uint64_t seed) {
 void AnalysisServer::on_delivery(int rank, uint64_t seq,
                                  std::span<const SliceRecord> batch,
                                  double now) {
+  std::lock_guard<std::mutex> lock(mu_);
   // Reject before anything is journaled: a frame for a rank outside the
   // watermark table could never fold, and replay would skip it forever.
+  // Checked under the lock: a concurrent recovery reassigns the table.
   VS_CHECK_MSG(rank >= 0 && static_cast<size_t>(rank) < watermarks_.size(),
                "delivery from unknown rank");
-  std::lock_guard<std::mutex> lock(mu_);
   last_now_ = now;
   // The crash fires at a delivery boundary, before the triggering delivery
   // is processed — the recovered server then handles it normally.
@@ -77,8 +73,7 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
 
   // Write-ahead discipline: the frame is on the journal (and, with the
   // default group-commit interval, on the file) before any state folds.
-  append_frame_locked(JournalFrame{JournalFrameKind::Batch, rank, seq,
-                                   {batch.begin(), batch.end()}});
+  append_frame_locked(JournalFrameKind::Batch, rank, seq, batch);
   if (!watermarks_[static_cast<size_t>(rank)].insert(seq)) {
     // The transport already deduplicates; a duplicate here means an
     // upstream bug. Count it and refuse the double fold.
@@ -86,8 +81,8 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
     maybe_rearm_locked();
     return;
   }
-  collector_->ingest(batch);
-  ++delivered_batches_;
+  detector_->on_batch(batch);
+  count_delivery_locked(batch.size());
   ++batches_since_checkpoint_;
   // While degraded the re-arm probe owns checkpoint cadence. It runs only
   // here — after the fold and watermark update — so its checkpoint always
@@ -101,7 +96,7 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
 
 void AnalysisServer::mark_stale(int rank, double now) {
   std::lock_guard<std::mutex> lock(mu_);
-  append_frame_locked(JournalFrame{JournalFrameKind::StaleRank, rank, 0, {}});
+  append_frame_locked(JournalFrameKind::StaleRank, rank, 0, {});
   // Sweeps that know the virtual time stamp it onto the StaleRank event;
   // the rest inherit the newest delivery's clock.
   detector_->mark_stale(rank, now >= 0.0 ? now : last_now_);
@@ -110,31 +105,40 @@ void AnalysisServer::mark_stale(int rank, double now) {
 
 void AnalysisServer::mark_live(int rank, double now) {
   std::lock_guard<std::mutex> lock(mu_);
-  append_frame_locked(JournalFrame{JournalFrameKind::RankRejoin, rank, 0, {}});
+  append_frame_locked(JournalFrameKind::RankRejoin, rank, 0, {});
   detector_->mark_live(rank, now >= 0.0 ? now : last_now_);
   maybe_rearm_locked();
 }
 
 void AnalysisServer::apply_standard(int sensor_id, int group, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  append_frame_locked(make_standard_frame(sensor_id, group, value));
+  const JournalFrame frame = make_standard_frame(sensor_id, group, value);
+  append_frame_locked(frame.kind, frame.rank, frame.seq, frame.records);
   detector_->apply_standard_update(sensor_id, group, value);
   maybe_rearm_locked();
 }
 
-void AnalysisServer::append_frame_locked(const JournalFrame& frame) {
+void AnalysisServer::count_delivery_locked(size_t records) {
+  delivered_.records += records;
+  delivered_.bytes += records * kRecordWireBytes;
+  delivered_.batches += 1;
+}
+
+void AnalysisServer::append_frame_locked(JournalFrameKind kind, int32_t rank,
+                                         uint64_t seq,
+                                         std::span<const SliceRecord> records) {
   if (degraded_ || journal_ == nullptr) {
     // Non-durable mode: the frame still folds (the caller continues), but
     // its bytes are dropped-and-counted instead of journaled. The re-arm
     // probe runs at the END of the operation, not here — a checkpoint
     // snapshotted now would predate this frame's fold, and truncating the
     // journal against it would silently lose the frame.
-    dropped_journal_bytes_ += encode_journal_frame(frame).size();
+    dropped_journal_bytes_ += journal_frame_bytes(records.size());
     ++degraded_appends_;
     return;
   }
   const uint64_t before = journal_->appended_bytes();
-  bool ok = journal_->append(frame);
+  bool ok = journal_->append(kind, rank, seq, records);
   // Bytes per append, not wall time: the p50/p99 gauges must be
   // bit-identical across reruns of the same seed.
   append_bytes_hist_.record(
@@ -231,7 +235,7 @@ ServerCheckpoint AnalysisServer::build_checkpoint_locked() const {
   ckpt.sensor_count = static_cast<uint32_t>(detector_->sensor_count());
   ckpt.ranks = detector_->ranks();
   ckpt.run_time = detector_->run_time();
-  ckpt.collector = collector_->counters();
+  ckpt.delivered = delivered_;
   ckpt.watermarks = watermarks_;
   ckpt.detector = detector_->snapshot();
   return ckpt;
@@ -267,7 +271,7 @@ void AnalysisServer::checkpoint_locked() {
     obs::Event ev;
     ev.kind = obs::EventKind::CheckpointSaved;
     ev.t = last_now_;
-    ev.count = delivered_batches_;
+    ev.count = delivered_.batches;
     ev.detail = cfg_.checkpoint_path;
     hooks_.emit(std::move(ev));
   }
@@ -325,7 +329,7 @@ void AnalysisServer::crash_locked() {
   }
 
   // In-memory analysis state is gone.
-  collector_->reset();
+  delivered_ = DeliveryCounters{};
   detector_->reset();
   for (auto& wm : watermarks_) wm = SeqTracker{};
   batches_since_checkpoint_ = 0;
@@ -380,7 +384,7 @@ RecoveryReport AnalysisServer::recover_locked() {
         c.run_time == detector_->run_time() &&
         c.watermarks.size() == watermarks_.size()) {
       detector_->restore(c.detector);
-      collector_->restore_counters(c.collector);
+      delivered_ = c.delivered;
       watermarks_ = c.watermarks;
       report.checkpoint_loaded = true;
     } else {
@@ -390,7 +394,7 @@ RecoveryReport AnalysisServer::recover_locked() {
   }
   if (!report.checkpoint_loaded) {
     // No usable checkpoint: recover from the journal alone, from zero.
-    collector_->reset();
+    delivered_ = DeliveryCounters{};
     detector_->reset();
     for (auto& wm : watermarks_) wm = SeqTracker{};
   }
@@ -412,8 +416,8 @@ RecoveryReport AnalysisServer::recover_locked() {
           ++report.frames_skipped;
           break;
         }
-        collector_->ingest(frame.records);
-        ++delivered_batches_;
+        detector_->on_batch(frame.records);
+        count_delivery_locked(frame.records.size());
         ++report.frames_replayed;
         report.records_replayed += frame.records.size();
         break;
@@ -514,9 +518,14 @@ uint64_t AnalysisServer::crashes() const {
   return crashes_;
 }
 
+DeliveryCounters AnalysisServer::delivered() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return delivered_;
+}
+
 uint64_t AnalysisServer::delivered_batches() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return delivered_batches_;
+  return delivered_.batches;
 }
 
 uint64_t AnalysisServer::duplicate_deliveries() const {
@@ -615,7 +624,8 @@ void AnalysisServer::dump_flight_locked() {
 void AnalysisServer::sample_health(double now,
                                    obs::HealthRecorder& rec) const {
   std::lock_guard<std::mutex> lock(mu_);
-  rec.gauge("delivered_batches", delivered_batches_);
+  rec.gauge("delivered_batches", delivered_.batches);
+  rec.gauge("delivered_records", delivered_.records);
   rec.gauge("duplicate_deliveries", duplicate_deliveries_);
   rec.gauge("crashes", crashes_);
   rec.gauge("recoveries", reports_.size());
@@ -646,14 +656,8 @@ void AnalysisServer::sample_health(double now,
   rec.gauge("journal.lost_bytes", lost_journal_bytes_locked());
   rec.gauge("lossy_recoveries", lossy_recoveries_);
   rec.gauge("checkpoint_failures", checkpoint_failures_);
-  {
-    obs::HealthRecorder::Prefix scope(rec, "collector");
-    collector_->sample_health(now, rec);
-  }
-  {
-    obs::HealthRecorder::Prefix scope(rec, "detector");
-    detector_->sample_health(now, rec);
-  }
+  obs::HealthRecorder::Prefix scope(rec, "detector");
+  detector_->sample_health(now, rec);
 }
 
 }  // namespace vsensor::rt

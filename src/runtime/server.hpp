@@ -1,15 +1,17 @@
 // Crash-tolerant analysis server (paper §5.4, hardened).
 //
 // The paper dedicates one process to inter-process analysis; at cluster
-// scale that process is itself a failure domain. This server wraps the
-// sharded Collector + StreamingDetector with a durability discipline:
+// scale that process is itself a failure domain. This server folds every
+// delivered span straight into a StreamingDetector — no record store
+// beside it — under a durability discipline:
 //
 //  * write-ahead journal — every acknowledged delivery is appended to the
 //    journal (runtime/journal.hpp) *before* it folds into streaming state,
 //    under the same lock, so the journal's frame order IS the fold order;
 //  * periodic checkpoints — every `checkpoint_every_batches` deliveries,
-//    the complete detector snapshot + collector counters + per-rank
-//    delivery watermarks are saved atomically (runtime/checkpoint.hpp);
+//    the complete detector snapshot + the server's delivery counters +
+//    per-rank delivery watermarks are saved atomically
+//    (runtime/checkpoint.hpp);
 //  * recovery — load the newest valid checkpoint (or start from zero state
 //    if it is missing/corrupt), salvage the valid prefix of the journal,
 //    and replay the suffix through the normal ingest path. Frames already
@@ -27,7 +29,7 @@
 //
 // Crash injection is deterministic: a crash plan (virtual-time points +
 // seed) makes the server "die" at the first delivery at or after each
-// point — the in-memory state (collector stores, detector state, journal
+// point — the in-memory state (delivery counters, detector state, journal
 // user-space buffer) is destroyed, a seed-derived torn frame prefix is
 // appended to the journal file to model a write cut mid-frame, and the
 // server restarts through recover() before processing the triggering
@@ -46,7 +48,6 @@
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/checkpoint.hpp"
-#include "runtime/collector.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/streaming_detector.hpp"
 #include "runtime/transport.hpp"
@@ -97,13 +98,11 @@ struct RecoveryReport {
 
 class AnalysisServer final : public DeliverySink, public obs::HealthSource {
  public:
-  /// `collector` and `detector` are owned by the caller and survive the
-  /// simulated crash as objects — crash() resets their state in place, so
-  /// external wiring (the collector's attached sink, references held by
-  /// the workload) stays valid across crash/recover cycles. The detector
-  /// must be attached as the collector's sink by the caller.
-  AnalysisServer(ServerConfig cfg, Collector* collector,
-                 StreamingDetector* detector);
+  /// `detector` is owned by the caller and survives the simulated crash as
+  /// an object — crash() resets its state in place, so references held by
+  /// the caller stay valid across crash/recover cycles. Every unique
+  /// delivery folds straight into it.
+  AnalysisServer(ServerConfig cfg, StreamingDetector* detector);
   ~AnalysisServer();
 
   AnalysisServer(const AnalysisServer&) = delete;
@@ -152,6 +151,10 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   void crash();
 
   uint64_t crashes() const;
+  /// Unique deliveries folded into the detector (records, wire bytes,
+  /// batches). Checkpointed: after a crash and recovery these equal an
+  /// uninterrupted server's counts — replayed frames are counted once.
+  DeliveryCounters delivered() const;
   uint64_t delivered_batches() const;
   /// Live deliveries ignored because their seq was already covered by a
   /// watermark (transport dedup failed upstream); expected to stay 0.
@@ -195,10 +198,10 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   const obs::FlightRecorder& flight() const { return flight_; }
   obs::FlightRecorder& flight() { return flight_; }
 
-  /// Health plane: durability gauges (journal bytes/frames/commits, bytes
-  /// per append p50/p99, checkpoint age in virtual seconds, crash/recovery
-  /// counts) plus the collector's and detector's own gauges under
-  /// "collector." / "detector." sub-prefixes.
+  /// Health plane: delivery counters, durability gauges (journal
+  /// bytes/frames/commits, bytes per append p50/p99, checkpoint age in
+  /// virtual seconds, crash/recovery counts) plus the detector's own gauges
+  /// under the "detector." sub-prefix.
   void sample_health(double now, obs::HealthRecorder& rec) const override;
 
  private:
@@ -206,7 +209,10 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   RecoveryReport recover_locked();
   void checkpoint_locked();
   ServerCheckpoint build_checkpoint_locked() const;
-  void append_frame_locked(const JournalFrame& frame);
+  /// Account one unique delivery of `records` records (live or replayed).
+  void count_delivery_locked(size_t records);
+  void append_frame_locked(JournalFrameKind kind, int32_t rank, uint64_t seq,
+                           std::span<const SliceRecord> records);
   void dump_flight_locked();
   /// Fold the dying writer's error/loss counters into the server-level
   /// bases (the counters die with the writer otherwise), then destroy it.
@@ -217,7 +223,6 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   uint64_t lost_journal_bytes_locked() const;
 
   ServerConfig cfg_;
-  Collector* collector_;
   StreamingDetector* detector_;
 
   mutable std::mutex mu_;
@@ -227,7 +232,7 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   size_t next_crash_ = 0;
   uint64_t crash_seed_ = 0;
   uint64_t crashes_ = 0;
-  uint64_t delivered_batches_ = 0;
+  DeliveryCounters delivered_;
   uint64_t duplicate_deliveries_ = 0;
   uint64_t batches_since_checkpoint_ = 0;
   std::vector<RecoveryReport> reports_;

@@ -17,32 +17,22 @@ ShardedAnalysisTier::ShardedAnalysisTier(ShardedTierConfig cfg,
   shards_.reserve(static_cast<size_t>(cfg_.shards));
   for (int k = 0; k < cfg_.shards; ++k) {
     auto shard = std::make_unique<Shard>();
-    shard->collector = std::make_unique<Collector>(cfg_.collector);
-    shard->collector->set_sensors(sensors_);
     shard->detector = std::make_unique<StreamingDetector>(
         cfg_.detector, sensors_, ranks_, run_time_);
-    shard->collector->attach_sink(shard->detector.get());
     // Publication is only needed when there is a peer to tell.
     if (cfg_.shards > 1) shard->detector->enable_standard_publication();
-    ServerConfig sc;
+    ServerConfig sc = cfg_;
     const std::string suffix = ".shard" + std::to_string(k);
     sc.journal_path = cfg_.journal_path + suffix;
     sc.checkpoint_path = cfg_.checkpoint_path + suffix;
-    sc.checkpoint_every_batches = cfg_.checkpoint_every_batches;
-    sc.journal = cfg_.journal;
     // Flight dumps suffix the *base* flight path, so a tier run leaves
     // "<base>.flight.shard<k>" next to the shard's journal files.
     const std::string flight_base = cfg_.flight_path.empty()
                                         ? cfg_.journal_path + ".flight"
                                         : cfg_.flight_path;
     sc.flight_path = flight_base + suffix;
-    sc.flight_capacity = cfg_.flight_capacity;
-    sc.vfs = cfg_.vfs;
-    sc.io_retry_attempts = cfg_.io_retry_attempts;
-    sc.io_retry_backoff = cfg_.io_retry_backoff;
-    sc.rearm_every_appends = cfg_.rearm_every_appends;
-    shard->server = std::make_unique<AnalysisServer>(
-        std::move(sc), shard->collector.get(), shard->detector.get());
+    shard->server =
+        std::make_unique<AnalysisServer>(std::move(sc), shard->detector.get());
     shards_.push_back(std::move(shard));
   }
 }

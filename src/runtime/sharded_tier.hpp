@@ -3,10 +3,10 @@
 //
 // The paper dedicates one analysis process; at 16,384 ranks a single
 // fold/journal lock is the bottleneck, so the tier partitions ranks across
-// N independent shards (rank % N), each owning its own Collector,
-// StreamingDetector, and AnalysisServer with per-shard journal/checkpoint
-// files (paths suffixed ".shard<k>"). Deliveries route to the owning shard
-// and never contend with other shards' locks.
+// N independent shards (rank % N), each owning its own StreamingDetector
+// and the AnalysisServer that folds into it, with per-shard journal/
+// checkpoint files (paths suffixed ".shard<k>"). Deliveries route to the
+// owning shard and never contend with other shards' locks.
 //
 // Global detection semantics are preserved by two mechanisms:
 //
@@ -46,7 +46,6 @@
 
 #include "obs/events.hpp"
 #include "obs/health.hpp"
-#include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/server.hpp"
 #include "runtime/streaming_detector.hpp"
@@ -54,28 +53,14 @@
 
 namespace vsensor::rt {
 
-struct ShardedTierConfig {
+/// Every shard runs with the inherited server settings. The journal,
+/// checkpoint, and flight paths are bases: shard k writes
+/// "<path>.shard<k>", and the flight base defaults to
+/// "<journal_path>.flight".
+struct ShardedTierConfig : ServerConfig {
   /// Number of analysis shards (rank % shards routes a delivery).
   int shards = 1;
-  /// Base paths; shard k writes "<path>.shard<k>".
-  std::string journal_path = "analysis.journal";
-  std::string checkpoint_path = "analysis.ckpt";
-  /// Per-shard checkpoint cadence (see ServerConfig).
-  uint64_t checkpoint_every_batches = 0;
-  JournalWriterConfig journal;
   DetectorConfig detector;
-  CollectorConfig collector;
-  /// Flight recorder base path; shard k dumps "<base>.shard<k>" on crash
-  /// or torn-journal salvage ("" derives "<journal_path>.flight").
-  std::string flight_path;
-  size_t flight_capacity = 256;
-  /// Storage chaos seam shared by every shard's durable writes (see
-  /// ServerConfig::vfs). Null = real filesystem; non-owning.
-  io::Vfs* vfs = nullptr;
-  /// Per-shard degraded-mode policy (see ServerConfig).
-  uint64_t io_retry_attempts = 3;
-  double io_retry_backoff = 1e-4;
-  uint64_t rearm_every_appends = 4;
 };
 
 class ShardedAnalysisTier final : public DeliverySink,
@@ -147,7 +132,6 @@ class ShardedAnalysisTier final : public DeliverySink,
   const StreamingDetector& detector(int shard) const {
     return *shards_[checked(shard)]->detector;
   }
-  Collector& collector(int shard) { return *shards_[checked(shard)]->collector; }
 
   const ShardedTierConfig& config() const { return cfg_; }
   int ranks() const { return ranks_; }
@@ -164,13 +148,12 @@ class ShardedAnalysisTier final : public DeliverySink,
   std::string flight_path(int shard) const;
 
   /// Health plane: per-shard gauges under "shard<k>." (routing counters
-  /// plus each server's journal/checkpoint/collector/detector gauges) and
+  /// plus each server's delivery/journal/checkpoint/detector gauges) and
   /// tier-level totals (shards, routed records, broadcast updates).
   void sample_health(double now, obs::HealthRecorder& rec) const override;
 
  private:
   struct Shard {
-    std::unique_ptr<Collector> collector;
     std::unique_ptr<StreamingDetector> detector;
     std::unique_ptr<AnalysisServer> server;
     /// Tier-level event hooks for this shard (StandardUpdate broadcasts);

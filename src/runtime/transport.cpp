@@ -79,34 +79,30 @@ void BatchTransport::deliver(int rank, uint64_t seq,
   sink_->on_delivery(rank, seq, batch, now);
 }
 
-void BatchTransport::accept_locked(DelayedBatch&& ev,
-                                   std::vector<DelayedBatch>& ready) {
-  Channel& ch = channels_[static_cast<size_t>(ev.rank)];
-  ch.stats.wire_bytes += ev.records.size() * kRecordWireBytes;
-  if (!ch.seen.insert(ev.seq)) {
+bool BatchTransport::accept_locked(int rank, uint64_t seq, size_t records,
+                                   double now) {
+  Channel& ch = channels_[static_cast<size_t>(rank)];
+  ch.stats.wire_bytes += records * kRecordWireBytes;
+  if (!ch.seen.insert(seq)) {
     ch.stats.duplicates_suppressed += 1;
     VS_OBS_ONLY(
         if (obs::enabled()) TransportInstruments::get().duplicates.add();)
-    return;
+    return false;
   }
   ch.stats.batches_delivered += 1;
-  ch.stats.records_delivered += ev.records.size();
-  ch.stats.last_delivery_time = std::max(ch.stats.last_delivery_time, ev.now);
-  ready.push_back(std::move(ev));
+  ch.stats.records_delivered += records;
+  ch.stats.last_delivery_time = std::max(ch.stats.last_delivery_time, now);
+  return true;
 }
 
-void BatchTransport::arrive(int rank, uint64_t seq,
-                            std::span<const SliceRecord> batch, double now,
+bool BatchTransport::arrive(int rank, uint64_t seq, size_t records, double now,
                             std::vector<DelayedBatch>& ready) {
   // One physical delivery reaching the server. Each arrival releases held
   // (delayed) batches whose countdown expires, and a released batch is an
-  // arrival itself, so process a queue of arrival events.
+  // arrival itself, so process a queue of released arrivals.
+  const bool unique = accept_locked(rank, seq, records, now);
   std::vector<DelayedBatch> queue;
-  queue.push_back(
-      DelayedBatch{rank, seq, now, 0, {batch.begin(), batch.end()}});
-  while (!queue.empty()) {
-    accept_locked(std::move(queue.back()), ready);
-    queue.pop_back();
+  auto release = [&] {
     for (auto it = delayed_.begin(); it != delayed_.end();) {
       if (--(it->remaining) <= 0) {
         queue.push_back(std::move(*it));
@@ -115,7 +111,17 @@ void BatchTransport::arrive(int rank, uint64_t seq,
         ++it;
       }
     }
+  };
+  release();
+  while (!queue.empty()) {
+    DelayedBatch ev = std::move(queue.back());
+    queue.pop_back();
+    if (accept_locked(ev.rank, ev.seq, ev.records.size(), ev.now)) {
+      ready.push_back(std::move(ev));
+    }
+    release();
   }
+  return unique;
 }
 
 bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
@@ -162,24 +168,27 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
     }
 
     std::vector<DelayedBatch> ready;
+    bool unique = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       Channel& ch = channels_[static_cast<size_t>(rank)];
       if (d.delay_batches > 0) {
+        // Only a held batch outlives this call, so only it is copied.
         ch.stats.delayed_batches += 1;
         VS_OBS_ONLY(
             if (obs::enabled()) TransportInstruments::get().delayed.add();)
         delayed_.push_back(DelayedBatch{rank, seq, t, d.delay_batches,
                                         {batch.begin(), batch.end()}});
       } else {
-        arrive(rank, seq, batch, t, ready);
+        unique = arrive(rank, seq, batch.size(), t, ready);
       }
       // A duplicated delivery arrives as its own event; receive-side
       // sequence tracking suppresses whichever copy lands second.
-      if (d.duplicate) arrive(rank, seq, batch, t, ready);
+      if (d.duplicate) unique |= arrive(rank, seq, batch.size(), t, ready);
     }
-    // Store outside the transport lock: the collector has its own sharded
-    // locking and the attached sink its own mutex.
+    // Deliver outside the transport lock — the sink takes its own locks:
+    // the caller's span first, then the batches its arrival released.
+    if (unique) deliver(rank, seq, batch, t);
     for (const auto& rb : ready) deliver(rb.rank, rb.seq, rb.records, rb.now);
     return true;
   }
@@ -209,7 +218,11 @@ void BatchTransport::drain() {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<DelayedBatch> held;
     held.swap(delayed_);
-    for (auto& ev : held) accept_locked(std::move(ev), ready);
+    for (auto& ev : held) {
+      if (accept_locked(ev.rank, ev.seq, ev.records.size(), ev.now)) {
+        ready.push_back(std::move(ev));
+      }
+    }
   }
   for (const auto& rb : ready) deliver(rb.rank, rb.seq, rb.records, rb.now);
 }
@@ -218,8 +231,8 @@ bool BatchTransport::stale_locked(const Channel& ch, int rank,
                                   double now) const {
   if (faults_ != nullptr && faults_->killed(rank, now)) return true;
   const double last = ch.stats.last_delivery_time;
-  // A channel that never delivered ages from its creation time, not from
-  // t=0 — a late-joining rank gets a full stale_after grace period.
+  // A channel that never delivered ages from its first_seen, not from
+  // t=0 — a rejoined rank gets a full stale_after grace period.
   if (last < 0.0) return now - ch.first_seen > cfg_.stale_after;
   return now - last > cfg_.stale_after;
 }
@@ -268,14 +281,6 @@ std::vector<int> BatchTransport::reported_stale_ranks() const {
   return reported;
 }
 
-int BatchTransport::add_rank(double now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Channel ch;
-  ch.first_seen = now;
-  channels_.push_back(std::move(ch));
-  return static_cast<int>(channels_.size()) - 1;
-}
-
 bool BatchTransport::rejoin_rank(int rank, double now) {
   std::lock_guard<std::mutex> lock(mu_);
   VS_CHECK_MSG(rank >= 0 && static_cast<size_t>(rank) < channels_.size(),
@@ -283,8 +288,7 @@ bool BatchTransport::rejoin_rank(int rank, double now) {
   Channel& ch = channels_[static_cast<size_t>(rank)];
   const bool was_reported = ch.reported_stale;
   // Fresh incarnation: the send counter restarts under a bumped generation
-  // (see seq_make) and staleness ages from the rejoin time, exactly like a
-  // newly added channel.
+  // (see seq_make) and staleness ages from the rejoin time.
   ch.generation += 1;
   ch.stats.next_seq = 0;
   ch.stats.last_delivery_time = -1.0;
@@ -347,10 +351,10 @@ void BatchTransport::sample_health(double now,
       wire += ch.stats.wire_bytes;
       if (ch.reported_stale) ++stale_reported;
       const double last = ch.stats.last_delivery_time;
-      // A channel that never delivered ages from its first_seen (job start
-      // for construction-time channels, the join/rejoin time for elastic
-      // ones) — mirroring stale_locked. Aging a mid-run joiner from t=0
-      // would report a lag it never accumulated.
+      // A channel that never delivered ages from its first_seen (job start,
+      // or the rejoin time for elastic ranks) — mirroring stale_locked.
+      // Aging a rejoined rank from t=0 would report a lag it never
+      // accumulated.
       if (last < 0.0) ++never_delivered;
       const double since = last < 0.0 ? ch.first_seen : last;
       const double lag = now > since ? now - since : 0.0;

@@ -158,8 +158,7 @@ class BatchTransport : public obs::HealthSource {
   /// Ranks considered stale at `now`: transport killed by the fault model,
   /// or silent for longer than `stale_after` since the channel's last
   /// delivery (or, for a channel that never delivered, since it was
-  /// created — job start for construction-time channels, add_rank() time
-  /// for late joiners).
+  /// created — job start — or since its last rejoin_rank()).
   std::vector<int> stale_ranks(double now) const;
 
   /// Invoke `on_stale` once per newly stale rank at `now` (idempotent per
@@ -172,13 +171,6 @@ class BatchTransport : public obs::HealthSource {
   /// about, so session reporting must read it to stay in agreement with
   /// the journaled exclusions.
   std::vector<int> reported_stale_ranks() const;
-
-  /// Grow the channel table by one rank at virtual time `now` (elastic
-  /// jobs: a rank joining mid-run). The new channel ages toward staleness
-  /// from `now`, not from job start. Returns the new rank id. Not safe
-  /// against concurrent ship() — call from the coordinator between
-  /// communication phases.
-  int add_rank(double now);
 
   /// Elastic jobs: rank `rank` left and is rejoining under the same id at
   /// virtual time `now`. Starts a fresh delivery incarnation — the send
@@ -224,21 +216,22 @@ class BatchTransport : public obs::HealthSource {
     /// into the high bits of every shipped seq — see seq_make.
     uint64_t generation = 0;
     bool reported_stale = false;
-    /// Virtual time this channel came into existence. Construction-time
-    /// channels are born with the job (t=0); channels added mid-run via
-    /// add_rank() age from their creation time, so a late-joining rank is
-    /// not instantly stale just because it has not delivered yet.
+    /// Virtual time this channel's current incarnation began: job start
+    /// (t=0), or the last rejoin_rank() — so a rejoined rank is not
+    /// instantly stale just because it has not delivered yet.
     double first_seen = 0.0;
   };
 
-  /// One delivery arriving at the server: dedup, then store. Appends any
-  /// releases from the delay queue to `ready`. Caller holds mu_.
-  void arrive(int rank, uint64_t seq, std::span<const SliceRecord> batch,
-              double now, std::vector<DelayedBatch>& ready);
+  /// One delivery of `records` records arriving at the server: dedup,
+  /// then release held batches whose countdown expires, appending the
+  /// unique ones to `ready`. Returns whether the arrival itself is unique
+  /// — the caller then delivers its own span, no copy. Caller holds mu_.
+  bool arrive(int rank, uint64_t seq, size_t records, double now,
+              std::vector<DelayedBatch>& ready);
   /// Arrival accounting for one batch reaching the server (wire bytes,
-  /// dedup, delivered/duplicate counters); a unique batch moves to
-  /// `ready`. Shared by arrive() and drain(). Caller holds mu_.
-  void accept_locked(DelayedBatch&& ev, std::vector<DelayedBatch>& ready);
+  /// dedup, delivered/duplicate counters). Returns whether it is unique.
+  /// Shared by arrive() and drain(). Caller holds mu_.
+  bool accept_locked(int rank, uint64_t seq, size_t records, double now);
   bool stale_locked(const Channel& ch, int rank, double now) const;
 
   /// Hand one deduplicated batch to the sink. Caller must NOT hold mu_.

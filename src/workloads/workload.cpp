@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "runtime/server.hpp"
 #include "runtime/sharded_tier.hpp"
 #include "support/error.hpp"
 #include "workloads/apps.hpp"
@@ -111,8 +110,6 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
   const auto faults = sim_config.transport_faults;
   std::unique_ptr<rt::BatchTransport> transport;
   if (collector != nullptr) {
-    VS_CHECK_MSG(options.server == nullptr || options.analysis_tier == nullptr,
-                 "attach either an analysis server or a sharded tier, not both");
     rt::DeliverySink* sink = collector;
     if (options.analysis_tier != nullptr) {
       // Sharded fan-in: deliveries route by rank to one of N crash-
@@ -123,34 +120,18 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
         options.analysis_tier->set_crash_plan(faults->server_crash_schedule(),
                                               faults->schedule_seed());
       }
-    } else if (options.server != nullptr) {
-      // Crash-tolerant path: deliveries carry their transport metadata to
-      // the server, which journals and dedups them before the collector
-      // sees anything. Crashes fire per the fault model's schedule.
-      sink = options.server;
-      if (faults != nullptr) {
-        options.server->set_crash_plan(faults->server_crash_schedule(),
-                                       faults->schedule_seed());
-      }
     }
     transport = std::make_unique<rt::BatchTransport>(
         sink, sim_config.ranks, options.transport, faults.get());
     // Health plane wiring (all non-owning): the caller's sampler and event
     // log see this run's transport and analysis stack until the run ends.
-    if (options.events != nullptr) {
-      if (options.analysis_tier != nullptr) {
-        options.analysis_tier->set_event_log(options.events);
-      } else if (options.server != nullptr) {
-        options.server->set_event_hooks(
-            obs::EventHooks{options.events, nullptr, -1});
-      }
+    if (options.events != nullptr && options.analysis_tier != nullptr) {
+      options.analysis_tier->set_event_log(options.events);
     }
     if (options.health != nullptr) {
       options.health->add_source("transport", transport.get());
       if (options.analysis_tier != nullptr) {
         options.health->add_source("tier", options.analysis_tier);
-      } else if (options.server != nullptr) {
-        options.health->add_source("server", options.server);
       } else {
         options.health->add_source("collector", collector);
       }
@@ -214,9 +195,7 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
         if (transport == nullptr) return;
         const int rank = static_cast<int>(r);
         if (transport->rejoin_rank(rank, now)) {
-          if (options.server != nullptr) {
-            options.server->mark_live(rank, now);
-          } else if (options.analysis_tier != nullptr) {
+          if (options.analysis_tier != nullptr) {
             options.analysis_tier->mark_live(rank, now);
           } else if (collector != nullptr) {
             collector->notify_live(rank);
@@ -237,13 +216,11 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
   if (transport != nullptr) {
     transport->drain();
     // Always sweep the end-of-run stale verdicts into the detection layer:
-    // the journal entry needs an analysis server (or tier), but the
-    // detector's exclusion must not — a server-less run's streaming
-    // detector hears about stale ranks through the collector's sink hook.
+    // the journal entry needs the analysis tier, but the detector's
+    // exclusion must not — a tier-less run's streaming detector hears
+    // about stale ranks through the collector's sink hook.
     transport->sweep_stale(run.makespan, [&](int r) {
-      if (options.server != nullptr) {
-        options.server->mark_stale(r, run.makespan);
-      } else if (options.analysis_tier != nullptr) {
+      if (options.analysis_tier != nullptr) {
         options.analysis_tier->mark_stale(r, run.makespan);
       } else {
         collector->notify_stale(r);
@@ -267,15 +244,13 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
       options.health->remove_source("transport");
       if (options.analysis_tier != nullptr) {
         options.health->remove_source("tier");
-      } else if (options.server != nullptr) {
-        options.health->remove_source("server");
       } else {
         options.health->remove_source("collector");
       }
     }
   }
-  // Durability bill of the run: how the attached analysis tier/server's
-  // storage fared. Zero across the board on a healthy filesystem.
+  // Durability bill of the run: how the attached analysis tier's storage
+  // fared. Zero across the board on a healthy filesystem.
   if (options.analysis_tier != nullptr) {
     const auto& tier = *options.analysis_tier;
     run.durability.degraded_shards = tier.degraded_shards();
@@ -284,14 +259,6 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
     run.durability.lossy_recoveries = tier.lossy_recoveries();
     run.durability.io_errors = tier.io_errors();
     run.durability.dropped_journal_bytes = tier.dropped_journal_bytes();
-  } else if (options.server != nullptr) {
-    const auto& server = *options.server;
-    run.durability.degraded_shards = server.degraded() ? 1 : 0;
-    run.durability.degraded_entries = server.degraded_entries();
-    run.durability.rearms = server.rearms();
-    run.durability.lossy_recoveries = server.lossy_recoveries();
-    run.durability.io_errors = server.io_errors();
-    run.durability.dropped_journal_bytes = server.dropped_journal_bytes();
   }
   VS_OBS_ONLY(if (obs::enabled()) {
     vs_obs_span.set_virtual(0.0, run.makespan);

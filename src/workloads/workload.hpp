@@ -24,7 +24,6 @@
 #include "support/rng.hpp"
 
 namespace vsensor::rt {
-class AnalysisServer;
 class ShardedAnalysisTier;
 }
 
@@ -134,34 +133,28 @@ struct RunOptions {
   /// Knobs of the resilient batch transport every instrumented run ships
   /// through (retry budget, backoff, stale threshold).
   rt::TransportConfig transport;
-  /// Crash-tolerant analysis server (optional, not owned). When set,
-  /// deliveries route through it — journaled, watermark-deduplicated,
-  /// checkpointed — instead of straight into the collector, and the fault
-  /// model's server_crash_schedule() becomes the server's crash plan. The
-  /// `collector` passed to run_workload must be the one this server wraps.
-  rt::AnalysisServer* server = nullptr;
-  /// Sharded analysis tier (optional, not owned; mutually exclusive with
-  /// `server`). When set, deliveries route by rank to one of its N shards
-  /// — the tier's shard count IS the run's analysis shard count — and the
-  /// fault model's server_crash_schedule() becomes every shard's crash
-  /// plan. Results come from tier->finalize(); the `collector` argument is
-  /// ignored for storage (each shard owns its own) but still receives the
-  /// sensor table for callers that inspect it.
+  /// Crash-tolerant sharded analysis tier (optional, not owned; one shard
+  /// is one analysis server). When set, deliveries route by rank to one of
+  /// its N shards — journaled, watermark-deduplicated, checkpointed, and
+  /// folded straight into each shard's detector — and the fault model's
+  /// server_crash_schedule() becomes every shard's crash plan. Results
+  /// come from tier->finalize(); the `collector` argument stores nothing
+  /// but still receives the sensor table for callers that inspect it.
   rt::ShardedAnalysisTier* analysis_tier = nullptr;
   /// Live health plane (optional, not owned). When set, the transport's
   /// delivery path pokes the sampler at virtual-time boundary crossings,
   /// and run_workload registers the transport plus the attached
-  /// server/tier/collector as sources for the run's duration, closing with
+  /// tier/collector as sources for the run's duration, closing with
   /// one unconditional snapshot at the makespan.
   obs::HealthSampler* health = nullptr;
   /// Structured event log (optional, not owned). Wired into the transport
-  /// (ring overflow) and the attached server/tier (variance flags, stale
+  /// (ring overflow) and the attached tier (variance flags, stale
   /// sweeps, crash/recovery/salvage, standards broadcasts).
   obs::EventLog* events = nullptr;
 };
 
-/// End-of-run durability accounting, aggregated from the attached server
-/// or sharded tier (all zero for runs with neither, and for runs whose
+/// End-of-run durability accounting, aggregated from the attached sharded
+/// tier (all zero for runs without one, and for runs whose
 /// storage never misbehaved). A nonzero degraded_shards/lossy_recoveries
 /// is the run saying "my durable artifacts are incomplete" — detection
 /// results are still exact (degraded mode keeps folding in memory).
@@ -188,7 +181,7 @@ struct WorkloadRun {
   /// told to exclude, so it always equals StreamingDetector::stale_ranks()
   /// of whatever detector the run fed.
   std::vector<int> stale_ranks;
-  /// Storage-durability outcome of the attached server/tier (see above).
+  /// Storage-durability outcome of the attached tier (see above).
   DurabilitySummary durability;
 
   /// Pm - 1: the paper's "workload max error" (Table 1).

@@ -296,7 +296,6 @@ DetectorConfig tight_cfg() {
 }
 
 struct ServerRig {
-  Collector collector;
   StreamingDetector detector;
   AnalysisServer server;
 
@@ -304,10 +303,7 @@ struct ServerRig {
             double T, const DetectorConfig& dcfg, io::Vfs* vfs = nullptr,
             uint64_t rearm_every = 4)
       : detector(dcfg, sensors, ranks, T),
-        server(make_cfg(tag, vfs, rearm_every), &collector, &detector) {
-    collector.set_sensors(sensors);
-    collector.attach_sink(&detector);
-  }
+        server(make_cfg(tag, vfs, rearm_every), &detector) {}
 
   static ServerConfig make_cfg(const std::string& tag, io::Vfs* vfs,
                                uint64_t rearm_every) {

@@ -201,17 +201,17 @@ TEST(HealthRecorder, PrefixesNestAndKeysSort) {
 // --- transport gauges under elastic joins -----------------------------------
 
 // Regression (elastic ranks): a mid-run joiner's channel-lag gauge must age
-// from the channel's first_seen (the add_rank/rejoin time), not from t=0,
-// and a joiner that has not delivered yet must not drag watermark_min to
-// zero and inflate watermark_skew.
+// from the channel's first_seen (the rejoin time), not from t=0, and a
+// joiner that has not delivered yet must not drag watermark_min to zero
+// and inflate watermark_skew.
 TEST(TransportHealth, ElasticJoinerAgesFromFirstSeenNotTimeZero) {
   Collector collector;
-  BatchTransport transport(&collector, 2);
+  BatchTransport transport(&collector, 3);
+  // Rank 2 never delivered; its first contact is the rejoin at t=5.
+  const int joiner = 2;
+  EXPECT_FALSE(transport.rejoin_rank(joiner, /*now=*/5.0));
   EXPECT_TRUE(transport.ship(0, {{make_record(0, 0, 5.5, 2e-4)}}, 5.5));
   EXPECT_TRUE(transport.ship(1, {{make_record(0, 1, 5.5, 2e-4)}}, 5.5));
-
-  const int joiner = transport.add_rank(/*now=*/5.0);
-  ASSERT_EQ(joiner, 2);
 
   obs::HealthRecorder rec;
   transport.sample_health(/*now=*/6.0, rec);

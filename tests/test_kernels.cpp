@@ -155,19 +155,15 @@ void expect_records_identical(const std::vector<SliceRecord>& a,
   }
 }
 
-/// Single-server reference: collector + detector + crash-tolerant server.
+/// Single-server reference: detector + crash-tolerant server.
 struct ServerRig {
-  Collector collector;
   StreamingDetector detector;
   AnalysisServer server;
 
   ServerRig(const std::string& tag, std::vector<SensorInfo> sensors, int ranks,
             double T, const DetectorConfig& dcfg)
       : detector(dcfg, sensors, ranks, T),
-        server(make_server_cfg(tag), &collector, &detector) {
-    collector.set_sensors(sensors);
-    collector.attach_sink(&detector);
-  }
+        server(make_server_cfg(tag), &detector) {}
 
   static ServerConfig make_server_cfg(const std::string& tag) {
     ServerConfig cfg;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "runtime/detector.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/server.hpp"
+#include "runtime/sharded_tier.hpp"
 #include "runtime/slicer.hpp"
 #include "runtime/streaming_detector.hpp"
 #include "runtime/transport.hpp"
@@ -108,6 +110,60 @@ TEST(Journal, RoundTripPreservesFramesExactly) {
   EXPECT_EQ(load.frames[1].rank, 1);
   ASSERT_EQ(load.frames[2].records.size(), 2u);
   EXPECT_EQ(load.frames[2].records[1].t_begin, 0.3);
+}
+
+// The on-disk frame format, pinned byte for byte. The literal was produced
+// by the earlier encoder, which copied the records into a payload string
+// before framing it, so it holds the format fixed across encoder rewrites.
+// Both the standalone encoder and the writer's buffer must produce it.
+TEST(Journal, BatchFrameBytesArePinned) {
+  SliceRecord r{};
+  r.sensor_id = 3;
+  r.rank = 1;
+  r.metric = 0.5F;
+  r.t_begin = 0.25;
+  r.t_end = 0.5;
+  r.avg_duration = 1.5e-4;
+  r.min_duration = 1.25e-4;
+  r.count = 7;
+  SliceRecord r2 = r;
+  r2.sensor_id = 4;
+  r2.t_begin = 0.5;
+  r2.t_end = 0.75;
+  r2.count = 2;
+  const std::vector<SliceRecord> records{r, r2};
+  const std::string pinned_hex =
+      "81000000aff2fbd0000100000009000000000000000200000003000000010000"
+      "000000003f00000000000000000000d03f000000000000e03f613255302aa923"
+      "3ffca9f1d24d62203f070000000000000004000000010000000000003f000000"
+      "00000000000000e03f000000000000e83f613255302aa9233ffca9f1d24d6220"
+      "3f0200000000000000";
+  auto hex = [](const std::string& bytes) {
+    static const char* digits = "0123456789abcdef";
+    std::string out;
+    for (unsigned char c : bytes) {
+      out += digits[c >> 4];
+      out += digits[c & 0xF];
+    }
+    return out;
+  };
+
+  const std::string encoded =
+      encode_journal_frame(JournalFrame{JournalFrameKind::Batch, 1, 9, records});
+  EXPECT_EQ(encoded.size(), journal_frame_bytes(records.size()));
+  EXPECT_EQ(hex(encoded), pinned_hex);
+
+  const auto path = tmp_path("journal_pinned.wal");
+  {
+    JournalWriter w(path);
+    ASSERT_TRUE(w.append(JournalFrameKind::Batch, 1, 9, records));
+    EXPECT_EQ(w.appended_bytes(), encoded.size());
+  }
+  const std::string file = read_file(path);
+  const std::string header = "vsensor-journal 1\n";
+  ASSERT_EQ(file.size(), header.size() + encoded.size());
+  EXPECT_EQ(file.substr(0, header.size()), header);
+  EXPECT_EQ(hex(file.substr(header.size())), pinned_hex);
 }
 
 TEST(Journal, SalvagesValidPrefixOfTornTail) {
@@ -206,7 +262,7 @@ ServerCheckpoint sample_checkpoint() {
   ckpt.sensor_count = 2;
   ckpt.ranks = 3;
   ckpt.run_time = 10e-3;
-  ckpt.collector = Collector::Counters{3, 0, 0, 3 * kRecordWireBytes, 1};
+  ckpt.delivered = DeliveryCounters{3, 3 * kRecordWireBytes, 1};
   ckpt.watermarks.resize(3);
   ckpt.watermarks[0].insert(0);
   ckpt.watermarks[0].insert(1);
@@ -225,7 +281,7 @@ TEST(Checkpoint, RoundTripIsByteExact) {
   EXPECT_EQ(load.ckpt.sensor_count, 2u);
   EXPECT_EQ(load.ckpt.ranks, 3);
   EXPECT_EQ(load.ckpt.run_time, 10e-3);
-  EXPECT_EQ(load.ckpt.collector.ingested, 3u);
+  EXPECT_EQ(load.ckpt.delivered.records, 3u);
   ASSERT_EQ(load.ckpt.watermarks.size(), 3u);
   EXPECT_EQ(load.ckpt.watermarks[0].contiguous, 2u);
   ASSERT_EQ(load.ckpt.watermarks[1].ahead.size(), 1u);
@@ -250,6 +306,39 @@ TEST(Checkpoint, RoundTripIsByteExact) {
 
   // The whole encoding is deterministic: same state, same bytes.
   EXPECT_EQ(encode_checkpoint(ckpt), encode_checkpoint(load.ckpt));
+}
+
+// The delivery counters keep the five-slot layout of the record-ring
+// counters they replace: the two ring slots (dropped, taken) are written
+// as 0 and ignored on load, so a checkpoint written with nonzero ring
+// slots still loads.
+TEST(Checkpoint, RingCounterSlotsAreZeroAndIgnored) {
+  const auto ckpt = sample_checkpoint();
+  std::string bytes = encode_checkpoint(ckpt);
+  const size_t payload_at = std::string("vsensor-checkpoint 1\n").size() + 12;
+  // sensor_count (u32) + ranks (i32) + run_time (f64), then the slots.
+  const size_t slots_at = payload_at + 16;
+  uint64_t slot[5];
+  std::memcpy(slot, bytes.data() + slots_at, sizeof(slot));
+  EXPECT_EQ(slot[0], 3u);                      // records
+  EXPECT_EQ(slot[1], 0u);                      // dropped: no ring
+  EXPECT_EQ(slot[2], 0u);                      // taken: no ring
+  EXPECT_EQ(slot[3], 3 * kRecordWireBytes);    // bytes
+  EXPECT_EQ(slot[4], 1u);                      // batches
+
+  // A checkpoint from a server that still kept a ring: nonzero slots,
+  // re-sealed with a valid CRC.
+  slot[1] = 11;
+  slot[2] = 13;
+  std::memcpy(bytes.data() + slots_at, slot, sizeof(slot));
+  const uint32_t crc =
+      crc32(bytes.data() + payload_at, bytes.size() - payload_at);
+  std::memcpy(bytes.data() + payload_at - 4, &crc, sizeof(crc));
+  const auto load = parse_checkpoint(bytes);
+  ASSERT_TRUE(load.ok) << load.warning;
+  EXPECT_EQ(load.ckpt.delivered.records, 3u);
+  EXPECT_EQ(load.ckpt.delivered.bytes, 3 * kRecordWireBytes);
+  EXPECT_EQ(load.ckpt.delivered.batches, 1u);
 }
 
 TEST(Checkpoint, FuzzTruncationsAndBitFlipsFailClosed) {
@@ -334,17 +423,13 @@ std::vector<Delivery> make_stream(uint64_t seed, int ranks, double T) {
 }
 
 struct ServerRig {
-  Collector collector;
   StreamingDetector detector;
   AnalysisServer server;
 
   ServerRig(const std::string& tag, int ranks, double T,
             uint64_t checkpoint_every)
       : detector(make_cfg(), two_sensors(), ranks, T),
-        server(make_server_cfg(tag, checkpoint_every), &collector, &detector) {
-    collector.set_sensors(two_sensors());
-    collector.attach_sink(&detector);
-  }
+        server(make_server_cfg(tag, checkpoint_every), &detector) {}
 
   static DetectorConfig make_cfg() {
     DetectorConfig cfg;
@@ -497,12 +582,12 @@ TEST(RecoveryEquivalence, CrashedRunIsBitIdenticalAcrossRandomSeeds) {
       EXPECT_EQ(su.m2, sc.m2) << "sensor " << s;
     }
 
-    // No double counting anywhere: the crashed server's collector
+    // No double counting anywhere: the crashed server's delivery
     // accounting equals the uninterrupted one's — restored checkpoint
     // counters plus replayed and live batches add up exactly once.
-    const auto cu = uninterrupted.collector.counters();
-    const auto cc = crashed.collector.counters();
-    EXPECT_EQ(cu.ingested, cc.ingested);
+    const auto cu = uninterrupted.server.delivered();
+    const auto cc = crashed.server.delivered();
+    EXPECT_EQ(cu.records, cc.records);
     EXPECT_EQ(cu.batches, cc.batches);
     EXPECT_EQ(cu.bytes, cc.bytes);
 
@@ -551,8 +636,42 @@ TEST(RecoveryEquivalence, RecoversFromJournalAloneWhenCheckpointCorrupt) {
                        crashed.detector.finalize());
   EXPECT_EQ(uninterrupted.detector.inter_flags(),
             crashed.detector.inter_flags());
-  EXPECT_EQ(uninterrupted.collector.counters().ingested,
-            crashed.collector.counters().ingested);
+  EXPECT_EQ(uninterrupted.server.delivered().records,
+            crashed.server.delivered().records);
+}
+
+// Regression: recovery restores the checkpointed delivery counters and
+// replays only the journal suffix, so a crashed-and-recovered server
+// counts each delivery once. The counter used to survive the crash and
+// then grow again by every replayed frame.
+TEST(RecoveryEquivalence, DeliveredCountsMatchUninterruptedAfterRecovery) {
+  const double T = 10e-3;
+  ServerRig uninterrupted("delivered_u", 2, T, /*checkpoint_every=*/2);
+  ServerRig crashed("delivered_c", 2, T, /*checkpoint_every=*/2);
+  const std::vector<std::vector<SliceRecord>> batches{
+      {make_record(0, 0, 1e-3, 2e-4)},
+      {make_record(0, 1, 2e-3, 3e-4), make_record(1, 1, 2e-3, 4e-4)},
+      {make_record(1, 0, 3e-3, 5e-4)}};
+  for (size_t i = 0; i < batches.size(); ++i) {
+    const int rank = static_cast<int>(i % 2);
+    const uint64_t seq = i / 2;
+    uninterrupted.server.on_delivery(rank, seq, batches[i], 1e-3 * (i + 1));
+    crashed.server.on_delivery(rank, seq, batches[i], 1e-3 * (i + 1));
+  }
+  crashed.server.crash();
+  const RecoveryReport rep = crashed.server.recover();
+  EXPECT_TRUE(rep.checkpoint_loaded);
+  EXPECT_EQ(rep.frames_replayed, 1u);  // the batch after the checkpoint
+
+  EXPECT_EQ(uninterrupted.server.delivered_batches(), 3u);
+  EXPECT_EQ(crashed.server.delivered_batches(),
+            uninterrupted.server.delivered_batches());
+  EXPECT_EQ(crashed.server.delivered().records,
+            uninterrupted.server.delivered().records);
+  EXPECT_EQ(crashed.server.delivered().bytes,
+            uninterrupted.server.delivered().bytes);
+  EXPECT_EQ(crashed.detector.observed_records(),
+            uninterrupted.detector.observed_records());
 }
 
 TEST(RecoveryEquivalence, WorkloadRunWithTransportFaultsAndCrashes) {
@@ -592,20 +711,23 @@ TEST(RecoveryEquivalence, WorkloadRunWithTransportFaultsAndCrashes) {
       uint64_t duplicates = 0;
     };
 
-    DetectorConfig dcfg;
-    dcfg.matrix_resolution = horizon / 40.0;
-    Collector collector;
-    StreamingDetector detector(dcfg, cg->sensors(), 8, horizon);
-    collector.attach_sink(&detector);
-    AnalysisServer server(
-        ServerRig::make_server_cfg("workload_" + tag, /*checkpoint_every=*/32),
-        &collector, &detector);
+    // A one-shard tier is one crash-tolerant server (shard 0 keeps the
+    // crash plan's seed).
+    ShardedTierConfig tcfg;
+    tcfg.journal_path = tmp_path("workload_" + tag + ".wal");
+    tcfg.checkpoint_path = tmp_path("workload_" + tag + ".ckpt");
+    tcfg.checkpoint_every_batches = 32;
+    tcfg.detector.matrix_resolution = horizon / 40.0;
+    std::remove((tcfg.checkpoint_path + ".shard0").c_str());
+    ShardedAnalysisTier tier(tcfg, cg->sensors(), 8, horizon);
+    const AnalysisServer& server = tier.server(0);
 
     workloads::RunOptions o = opts;
-    o.server = &server;
+    o.analysis_tier = &tier;
+    Collector collector;
     workloads::run_workload(*cg, cluster, o, &collector);
 
-    return Result{detector.finalize(), collector.counters().ingested,
+    return Result{tier.finalize(), server.delivered().records,
                   server.crashes(), server.duplicate_deliveries()};
   };
 

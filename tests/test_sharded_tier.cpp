@@ -105,19 +105,15 @@ std::vector<Delivery> make_stream(uint64_t seed, int ranks, double T) {
   return stream;
 }
 
-/// Single-server reference: collector + detector + crash-tolerant server.
+/// Single-server reference: detector + crash-tolerant server.
 struct ServerRig {
-  Collector collector;
   StreamingDetector detector;
   AnalysisServer server;
 
   ServerRig(const std::string& tag, std::vector<SensorInfo> sensors, int ranks,
             double T, const DetectorConfig& dcfg)
       : detector(dcfg, sensors, ranks, T),
-        server(make_server_cfg(tag), &collector, &detector) {
-    collector.set_sensors(sensors);
-    collector.attach_sink(&detector);
-  }
+        server(make_server_cfg(tag), &detector) {}
 
   static ServerConfig make_server_cfg(const std::string& tag) {
     ServerConfig cfg;
@@ -413,7 +409,7 @@ TEST(ShardedTier, OutOfRangeRankDeliveryIsRejectedBeforeJournaling) {
   EXPECT_EQ(batch_frames_for(server_wal, 0), 1u);
   EXPECT_EQ(batch_frames_for(server_wal, ranks), 0u);
   EXPECT_EQ(batch_frames_for(server_wal, -1), 0u);
-  EXPECT_EQ(rig.collector.ingested_records(), 1u);
+  EXPECT_EQ(rig.server.delivered().records, 1u);
 
   ShardedAnalysisTier tier(make_tier_cfg("oob_tier", 2, tight_cfg()),
                            two_sensors(), ranks, T);

@@ -356,19 +356,20 @@ TEST(Transport, SweepStaleReportsEachRankOnce) {
   EXPECT_EQ(reported, (std::vector<int>{0, 1, 2}));
 }
 
-// Regression: a channel created mid-run (late joiner) must age from its
-// first-contact time, not from t=0 — the old code treated "never delivered"
-// as "born at time zero" and insta-flagged any rank joining after
-// stale_after elapsed.
+// Regression: a rank that (re)joins mid-run without delivering yet must age
+// from its first-contact time, not from t=0 — the old code treated "never
+// delivered" as "born at time zero" and insta-flagged any rank joining
+// after stale_after elapsed.
 TEST(Transport, LateJoinedRankAgesFromFirstContact) {
   Collector collector;
   TransportConfig cfg;
   cfg.stale_after = 1.0;
-  BatchTransport transport(&collector, 1, cfg);
+  BatchTransport transport(&collector, 2, cfg);
   EXPECT_TRUE(transport.ship(0, {{make_record(0, 0, 5.0, 2.0)}}, 5.0));
 
-  const int late = transport.add_rank(/*now=*/5.0);
-  EXPECT_EQ(late, 1);
+  // Rank 1 never delivered; its first contact is the rejoin at t=5.
+  const int late = 1;
+  EXPECT_FALSE(transport.rejoin_rank(late, /*now=*/5.0));
   // Not stale until a full stale_after has passed since first contact.
   EXPECT_TRUE(transport.stale_ranks(5.5).empty());
   EXPECT_TRUE(transport.stale_ranks(6.0).empty());
@@ -872,7 +873,7 @@ TEST(TransportWorkload, FaultInjectionAcceptanceScenario) {
 
 // Regression: a server-less run (collector + streaming sink, no
 // AnalysisServer) must still sweep stale ranks into the detector. The old
-// wiring guarded the sweep behind `options.server != nullptr`, so the
+// wiring swept only when an analysis server was attached, so the
 // streaming detector never heard about the killed rank and its stale set
 // diverged from the run's.
 TEST(TransportWorkload, ServerlessRunSweepsStaleIntoDetector) {

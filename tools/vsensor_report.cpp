@@ -179,10 +179,10 @@ int inspect_checkpoint(const std::string& path) {
   const auto& c = load.ckpt;
   std::printf("  shape: %u sensors, %d ranks, run_time %.6f s\n",
               c.sensor_count, c.ranks, c.run_time);
-  std::printf("  collector: %llu records ingested, %llu batches, %llu bytes\n",
-              static_cast<unsigned long long>(c.collector.ingested),
-              static_cast<unsigned long long>(c.collector.batches),
-              static_cast<unsigned long long>(c.collector.bytes));
+  std::printf("  delivered: %llu records, %llu batches, %llu bytes\n",
+              static_cast<unsigned long long>(c.delivered.records),
+              static_cast<unsigned long long>(c.delivered.batches),
+              static_cast<unsigned long long>(c.delivered.bytes));
   uint64_t covered = 0;
   for (const auto& wm : c.watermarks) covered += wm.contiguous + wm.ahead.size();
   std::printf("  watermarks: %zu ranks, %llu deliveries covered\n",
